@@ -65,7 +65,7 @@ def _load_env_config() -> dict:
         raise ConfigError(f"cannot read {ENV_CONFIG_VAR} file: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{ENV_CONFIG_VAR} file is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise ConfigError(f"{ENV_CONFIG_VAR} file must hold a JSON object")
@@ -147,7 +147,7 @@ def _load_smg_declaration(path: str) -> tuple[KeySignature, TimeSignature]:
     text = _read_text(path, "benchmark")
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError(f"{path} is not valid JSON: {exc}") from None
     if not isinstance(obj, dict) or not isinstance(obj.get("key"), str) \
             or not isinstance(obj.get("meter"), str):
@@ -191,12 +191,7 @@ def _cmd_score(args: argparse.Namespace, env: dict) -> int:
 
 def _cmd_batch(args: argparse.Namespace, env: dict) -> int:
     config = _build_config(env, lambda_flag=args.lambda_)
-    if args.workers is not None:
-        workers = args.workers
-    else:
-        workers = env.get("workers", 1)
-        if not isinstance(workers, int) or isinstance(workers, bool):
-            raise ConfigError("workers must be an integer")
+    workers = env.get("workers", 1) if args.workers is None else args.workers
     records = load_manifest(args.manifest)
     external = None
     if args.external_scores is not None:

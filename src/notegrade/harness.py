@@ -1,8 +1,8 @@
-"""Batch evaluation: manifest loading, parallel scoring, report emission.
+"""Batch evaluation: manifest loading, scoring, report emission.
 
 Reports are canonical: keys sorted, exact values rendered the same way
-every run, samples ordered by id. Worker count changes throughput only,
-never a byte of the report.
+every run, samples ordered by id. Samples are scored one at a time:
+``workers`` is still checked, but changes neither speed nor output.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import csv
 import json
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
@@ -164,7 +163,7 @@ def load_manifest(path: str | Path) -> tuple[SampleRecord, ...]:
             continue
         try:
             obj = json.loads(raw)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise SchemaError(
                 f"manifest line {line_no}: invalid JSON: {exc}") from None
         record = _record(obj, line_no, base_dir)
@@ -189,7 +188,7 @@ def load_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
         raise SchemaError(f"cannot read external scores {path}: {exc}") from None
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise SchemaError(f"external scores: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SchemaError("external scores must be a JSON object keyed by id")
@@ -353,8 +352,9 @@ def run_batch(records: tuple[SampleRecord, ...],
     Ground truth is loaded up front so corrupt benchmark data aborts the
     run before any scoring happens.
     """
-    if workers < 1:
-        raise ConfigError(f"workers must be >= 1, got {workers}")
+    if isinstance(workers, bool) or not isinstance(workers, int) \
+            or workers < 1:
+        raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     ground_truths: dict[str, GroundTruth | None] = {}
     gt_cache: dict[Path, GroundTruth] = {}
     for record in records:
@@ -366,9 +366,8 @@ def run_batch(records: tuple[SampleRecord, ...],
         ground_truths[record.id] = gt_cache[record.gt_path]
 
     ordered = sorted(records, key=lambda r: r.id)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = tuple(pool.map(
-            lambda r: score_sample(r, config, ground_truths[r.id]), ordered))
+    results = tuple(score_sample(r, config, ground_truths[r.id])
+                    for r in ordered)
 
     warnings = []
     present = {record.task for record in records}
@@ -405,13 +404,13 @@ def write_report(report: Report, out_path: str | Path,
                  csv_path: str | Path | None = None) -> None:
     """Serialize the report as canonical JSON, plus an optional CSV of the
     task-by-format table."""
-    out_path = Path(out_path)
-    payload = json.dumps(report.to_json_dict(), sort_keys=True, indent=2) + "\n"
-    _atomic_write(out_path, payload)
+    data = report.to_json_dict()
+    _atomic_write(Path(out_path),
+                  json.dumps(data, sort_keys=True, indent=2) + "\n")
     if csv_path is None:
         return
     csv_path = Path(csv_path)
-    rows = report.to_json_dict()["per_task_format"]
+    rows = data["per_task_format"]
     tmp = csv_path.with_name(csv_path.name + ".tmp")
     with open(tmp, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle)

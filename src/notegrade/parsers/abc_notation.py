@@ -31,6 +31,15 @@ _UNIT_RE = re.compile(r"^(\d+)/(\d+)$")
 _DIGITS = "0123456789"
 
 
+def _number(digits: str, **where) -> int:
+    """``int(digits)``, or a ParseError past the interpreter's digit limit."""
+    try:
+        return int(digits)
+    except ValueError:
+        raise ParseError(
+            f"number of {len(digits)} digits is too long", **where) from None
+
+
 def key_signature_accidentals(key_name: str) -> dict[str, int]:
     """Map note letters to the +-1 semitone shift the key signature imposes."""
     count = MAJOR_KEY_SIGNATURES[key_name]
@@ -268,7 +277,8 @@ class _BodyParser:
         start = i
         while i < len(text) and text[i] in _DIGITS:
             i += 1
-        numerator = int(text[start:i]) if i > start else 1
+        where = {"line": line_no, "column": column, "rule_id": "abc.parse"}
+        numerator = _number(text[start:i], **where) if i > start else 1
         slashes = 0
         while i < len(text) and text[i] == "/":
             slashes += 1
@@ -284,7 +294,7 @@ class _BodyParser:
                     raise ParseError(
                         "malformed duration", line=line_no, column=column,
                         rule_id="abc.parse")
-                denominator = int(text[start:i])
+                denominator = _number(text[start:i], **where)
             else:
                 denominator = 2 ** slashes
         if numerator == 0 or denominator == 0:
@@ -312,10 +322,12 @@ def parse_abc(text: str) -> ScoreDoc:
     meter = parse_meter_field(headers["M"])
     if "L" in headers:
         match = _UNIT_RE.match(headers["L"])
-        if not match or int(match.group(1)) == 0 or int(match.group(2)) == 0:
+        num, den = (0, 0) if not match else (
+            _number(part, rule_id="abc.header_unit") for part in match.groups())
+        if num == 0 or den == 0:
             raise ParseError(
                 f"malformed L: field {headers['L']!r}", rule_id="abc.header_unit")
-        unit = Fraction(int(match.group(1)), int(match.group(2)))
+        unit = Fraction(num, den)
     else:
         unit = default_unit_length(meter)
     unit_beats = unit * 4

@@ -37,10 +37,16 @@ def _beats(value: object, field: str, index: int) -> Fraction:
     if not isinstance(value, str):
         raise SchemaError(f"events[{index}].{field} must be a num/den string")
     match = _BEATS_RE.match(value)
-    if not match or int(match.group(2)) == 0:
+    try:
+        num, den = (int(part) for part in match.groups()) if match else (0, 0)
+    except ValueError:
+        raise SchemaError(
+            f"events[{index}].{field} has more digits than int() accepts"
+        ) from None
+    if den == 0:
         raise SchemaError(
             f"events[{index}].{field} {value!r} is not a valid num/den string")
-    return Fraction(int(match.group(1)), int(match.group(2)))
+    return Fraction(num, den)
 
 
 def _event(obj: object, index: int) -> GroundTruthEvent:
@@ -74,7 +80,7 @@ def parse_ground_truth(text: str) -> GroundTruth:
     """Parse a ground-truth JSON document, raising SchemaError on any flaw."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # also an integer past int()'s digit limit
         raise SchemaError(f"ground truth is not valid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise SchemaError("ground truth must be a JSON object")

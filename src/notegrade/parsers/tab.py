@@ -82,51 +82,41 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
                 start = col
                 while col < width and body[col] in _DIGITS:
                     col += 1
-                fret = int(body[start:col])
-                if fret > FRET_MAX:
+                # Compare lengths first: int() refuses very long digit runs.
+                fret = body[start:col].lstrip("0") or "0"
+                if len(fret) > len(str(FRET_MAX)) or int(fret) > FRET_MAX:
                     raise ParseError(
                         f"fret {fret} above {FRET_MAX}", line=line_no,
                         column=start + 3, rule_id="tab.fret_range")
-                runs.append((start, string_idx + 1, fret))
+                runs.append((start, string_idx + 1, int(fret)))
             else:
                 col += 1
 
-    segments: list[tuple[int, int]] = []
-    start = 0
-    for col in bar_cols:
-        segments.append((start, col))
-        start = col + 1
-    trailing = (start, width)
-
-    def frames_in(lo: int, hi: int) -> dict[int, list[tuple[int, int]]]:
-        frames: dict[int, list[tuple[int, int]]] = {}
-        for col, string, fret in runs:
-            if lo <= col < hi:
-                frames.setdefault(col, []).append((string, fret))
-        return frames
-
-    def build_measure(lo: int, hi: int) -> Measure:
-        frames = frames_in(lo, hi)
-        events = []
-        for beat, col in enumerate(sorted(frames)):
-            pitches = []
-            for string, fret in frames[col]:
-                try:
-                    pitches.append(tab_to_midi(TabEvent(string, fret, col), tuning))
-                except PitchError as exc:
-                    raise ParseError(
-                        str(exc), column=col + 3,
-                        rule_id="tab.pitch_range") from None
-            events.append(Event(Fraction(beat), Fraction(1),
-                                tuple(sort_chord(pitches))))
-        return Measure(tuple(events))
-
-    measures = [build_measure(lo, hi) for lo, hi in segments if hi > lo]
-    if trailing[1] > trailing[0] and frames_in(*trailing):
-        measures.append(build_measure(*trailing))
-        final_barline = False
-    else:
-        final_barline = bool(bar_cols)
+    # One sweep over the runs in column order, cut at the barlines. Each
+    # segment between barlines is a measure, even a silent one; the
+    # segment after the last barline is one only when it holds notes.
+    runs.sort()
+    measures: list[Measure] = []
+    taken = lo = 0
+    for hi in (*bar_cols, width):
+        frames: dict[int, list[int]] = {}
+        while taken < len(runs) and runs[taken][0] < hi:
+            col, string, fret = runs[taken]
+            taken += 1
+            try:
+                midi = tab_to_midi(TabEvent(string, fret, col), tuning)
+            except PitchError as exc:
+                raise ParseError(
+                    str(exc), column=col + 3,
+                    rule_id="tab.pitch_range") from None
+            frames.setdefault(col, []).append(midi)
+        events = tuple(
+            Event(Fraction(beat), Fraction(1), tuple(sort_chord(frame)))
+            for beat, frame in enumerate(frames.values()))
+        if events or lo < hi < width:
+            measures.append(Measure(events))
+        lo = hi + 1
+    final_barline = bool(bar_cols) and not events  # the trailing segment's
 
     if not any(m.events for m in measures):
         raise ParseError("tablature contains no notes", rule_id="tab.parse")

@@ -2,8 +2,10 @@
 
 A verdict collects structural violations (missing required headers, no
 terminating barline) and then attempts a full parse, so a legal document
-is always parseable. Violations carry stable rule identifiers like
-``abc.header_x`` or ``tab.bar_alignment`` for downstream reporting.
+is always parseable. The verdict also carries the document (or the
+ParseError), so the scorers never parse a prediction again. Violations
+carry stable rule identifiers like ``abc.header_x`` or
+``tab.bar_alignment`` for downstream reporting.
 """
 
 from __future__ import annotations
@@ -79,10 +81,14 @@ def validate_format(fmt: NotationFormat, text: str,
             return parse_ascii_tab(value, tuning)
     flagged = {v.rule_id for v in violations}
     try:
-        parse(text)
+        doc = parse(text)
     except ParseError as exc:
         rule_id = exc.rule_id or f"{fmt.value}.parse"
         if rule_id not in flagged:
             violations.append(
                 Violation(rule_id, exc.message, exc.line, exc.column))
-    return FormatVerdict(tuple(violations))
+        # Keep no frames: they would pin the prediction text in memory.
+        exc.__context__ = None
+        return FormatVerdict(tuple(violations),
+                             error=exc.with_traceback(None))
+    return FormatVerdict(tuple(violations), doc=doc)

@@ -167,6 +167,10 @@ class FormatVerdict:
     """Outcome of strict format-legality checking."""
 
     violations: tuple[Violation, ...] = field(default=())
+    # The parsed document, or the ParseError (traceback dropped) that
+    # stopped the parse; neither is compared nor serialized.
+    doc: ScoreDoc | None = field(default=None, compare=False, repr=False)
+    error: ParseError | None = field(default=None, compare=False, repr=False)
 
     @property
     def legal(self) -> bool:

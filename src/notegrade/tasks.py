@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .metrics import AccuracyScore, MetricWeights, alignment_accuracy, hybrid_score
 from .parsers import parse_abc, parse_ascii_tab, parse_jianpu, validate_format
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 from .pitch import STANDARD_TUNING, KeySignature, Tuning
 from .projection import (
     DEFAULT_GRID,
@@ -231,11 +231,10 @@ def score_cnc(sample_id: str, gt: GroundTruth, prediction: str,
         f"{v.rule_id}: {v.message}" for v in verdict.violations)
     if not verdict.legal and not lenient:
         return _rejection(sample_id, Task.CNC, target_format, diagnostics)
-    try:
-        doc = parse_document(target_format, prediction, tuning)
-    except ParseError as exc:
+    doc = verdict.doc
+    if doc is None:
         return _rejection(sample_id, Task.CNC, target_format,
-                          diagnostics + (f"unparseable: {exc}",))
+                          diagnostics + (f"unparseable: {verdict.error}",))
     return _conversion_result(sample_id, Task.CNC, gt, doc, target_format,
                               verdict.legal, weights, grid, diagnostics)
 
@@ -256,11 +255,10 @@ def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
     verdict = validate_format(fmt, prediction, tuning)
     diagnostics = tuple(
         f"{v.rule_id}: {v.message}" for v in verdict.violations)
-    try:
-        doc = parse_document(fmt, prediction, tuning)
-    except ParseError as exc:
+    doc = verdict.doc
+    if doc is None:
         return _rejection(sample_id, Task.AST, fmt,
-                          diagnostics + (f"unparseable: {exc}",))
+                          diagnostics + (f"unparseable: {verdict.error}",))
     if length_cap is not None:
         pred_len = len(project(doc).pitch_tokens)
         gt_len = max(len(project_ground_truth(gt).pitch_tokens), 1)
@@ -313,9 +311,8 @@ def score_smg(sample_id: str, prediction: str, fmt: NotationFormat,
     """
     verdict = validate_format(fmt, prediction, tuning)
     diagnostics = [f"{v.rule_id}: {v.message}" for v in verdict.violations]
-    try:
-        doc = parse_document(fmt, prediction, tuning)
-    except ParseError:
+    doc = verdict.doc
+    if doc is None:
         rules = SmgRuleReport(False, False, False, False, False)
         return TaskResult(
             sample_id=sample_id, task=Task.SMG, fmt_legal=False,

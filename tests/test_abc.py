@@ -199,3 +199,26 @@ def test_out_of_range_pitch_is_parse_error():
 def test_zero_duration_rejected():
     with pytest.raises(ParseError, match="positive"):
         _doc("C0|]")
+
+
+# Digit runs longer than the interpreter's limit on int() (4,300 digits by
+# default) are ParseErrors, not ValueErrors that escape the scorers.
+
+def test_overlong_duration_numerator_rejected():
+    with pytest.raises(ParseError) as info:
+        _doc("C" + "9" * 5000 + " D|]")
+    assert info.value.rule_id == "abc.parse"
+    assert (info.value.line, info.value.column) == (5, 2)
+
+
+def test_overlong_duration_denominator_rejected():
+    with pytest.raises(ParseError) as info:
+        _doc("C/" + "9" * 5000 + " D|]")
+    assert info.value.rule_id == "abc.parse"
+    assert (info.value.line, info.value.column) == (5, 2)
+
+
+def test_overlong_unit_length_rejected():
+    with pytest.raises(ParseError) as info:
+        _doc("C D|]", unit="1/" + "9" * 5000)
+    assert info.value.rule_id == "abc.header_unit"

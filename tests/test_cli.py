@@ -145,6 +145,45 @@ def test_batch(tmp_path, capsys):
     assert csv_out.exists()
 
 
+def test_batch_survives_an_overlong_digit_run(tmp_path, capsys):
+    tab = "".join(f"{label}{body}-|\n" for label, body in zip(
+        ("e|", "B|", "G|", "D|", "A|", "E|"),
+        ["9" * 5000] + ["-" * 5000] * 5))
+    _write(tmp_path / "huge.tab", tab)
+    _write(tmp_path / "gt.json", json.dumps(SCALE_GT))
+    _write(tmp_path / "pred.txt", "b")
+    samples = [
+        {"id": "a1", "task": "ast", "format": "tab",
+         "pred_path": "huge.tab", "gt_path": "gt.json"},
+        {"id": "v1", "task": "vsu", "format": "staff",
+         "pred_path": "pred.txt", "answer": "b"},
+    ]
+    manifest = _write(tmp_path / "m.jsonl",
+                      "".join(json.dumps(row) + "\n" for row in samples))
+    out = tmp_path / "report.json"
+    assert main(["batch", "--manifest", manifest, "--out", str(out)]) == 0
+    rows = {row["sample_id"]: row for row in
+            json.loads(out.read_text(encoding="utf-8"))["per_sample"]}
+    assert rows["a1"]["hybrid"] == 0.0
+    assert rows["a1"]["diagnostics"][0].startswith("tab.fret_range")
+    assert rows["v1"]["correct"] is True
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("workers", ["4", 0, True])
+def test_batch_bad_workers_in_config_file(tmp_path, monkeypatch, capsys,
+                                          workers):
+    _write(tmp_path / "pred.txt", "b")
+    manifest = _write(tmp_path / "m.jsonl", json.dumps(
+        {"id": "v1", "task": "vsu", "format": "staff",
+         "pred_path": "pred.txt", "answer": "b"}) + "\n")
+    cfg = _write(tmp_path / "cfg.json", json.dumps({"workers": workers}))
+    monkeypatch.setenv("NOTEGRADE_CONFIG", cfg)
+    assert main(["batch", "--manifest", manifest,
+                 "--out", str(tmp_path / "r.json")]) == 1
+    assert "workers must be an integer >= 1" in capsys.readouterr().err
+
+
 def test_batch_lambda_flag(tmp_path, capsys):
     pred = tmp_path / "pred.txt"
     pred.write_text("b", encoding="utf-8")
@@ -280,6 +319,25 @@ def test_env_config_unreadable(tmp_path, monkeypatch, capsys):
     path = _write(tmp_path / "tune.abc", SCALE_ABC)
     assert main(["validate", "--format", "staff", "--input", path]) == 1
     capsys.readouterr()
+
+
+def test_overlong_integer_in_config_file_is_a_config_error(
+        tmp_path, monkeypatch, capsys):
+    cfg = _write(tmp_path / "cfg.json", '{"workers": ' + "7" * 5000 + "}")
+    monkeypatch.setenv("NOTEGRADE_CONFIG", cfg)
+    path = _write(tmp_path / "tune.abc", SCALE_ABC)
+    assert main(["validate", "--format", "staff", "--input", path]) == 1
+    assert "not valid JSON" in capsys.readouterr().err
+
+
+def test_overlong_integer_in_smg_declaration_is_benchmark_error(
+        tmp_path, capsys):
+    decl = _write(tmp_path / "decl.json",
+                  '{"key": "C", "meter": "4/4", "n": ' + "7" * 5000 + "}")
+    pred = _write(tmp_path / "pred.abc", SCALE_ABC)
+    assert main(["score", "--task", "smg", "--format", "staff",
+                 "--gt", decl, "--pred", pred]) == 2
+    assert "not valid JSON" in capsys.readouterr().err
 
 
 def _install_copy(tmp_path):

@@ -116,3 +116,18 @@ def test_load_from_file(tmp_path):
     path = tmp_path / "gt.json"
     path.write_text(json.dumps(_doc()), encoding="utf-8")
     assert load_ground_truth(path).id == "s1"
+
+
+@pytest.mark.parametrize("field", ["onset_beats", "duration_beats"])
+@pytest.mark.parametrize("value", ["9" * 5000 + "/1", "1/" + "9" * 5000])
+def test_overlong_beats_are_schema_errors(field, value):
+    doc = _doc()
+    doc["events"][0][field] = value
+    with pytest.raises(SchemaError, match="digits"):
+        parse_ground_truth(json.dumps(doc))
+
+
+def test_overlong_json_integer_is_schema_error():
+    text = json.dumps(_doc()).replace("[60]", "[" + "6" * 5000 + "]")
+    with pytest.raises(SchemaError, match="JSON"):
+        parse_ground_truth(text)

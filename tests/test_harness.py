@@ -1,8 +1,10 @@
 import json
+import threading
 from fractions import Fraction
 
 import pytest
 
+from notegrade import harness
 from notegrade.errors import ConfigError, SchemaError
 from notegrade.harness import (
     EvalConfig,
@@ -179,6 +181,68 @@ def test_run_batch_rejects_bad_worker_count(tmp_path):
         run_batch(records, EvalConfig(), workers=0)
 
 
+@pytest.mark.parametrize("workers", [True, "2", 1.5, None])
+def test_run_batch_rejects_non_integer_worker_count(tmp_path, workers):
+    records = load_manifest(_full_fixture(tmp_path))
+    with pytest.raises(ConfigError, match="integer"):
+        run_batch(records, EvalConfig(), workers=workers)
+
+
+def test_run_batch_scores_serially_in_id_order(tmp_path, monkeypatch):
+    records = load_manifest(_full_fixture(tmp_path))
+    calls = []
+    original = harness.score_sample
+
+    def spy(record, config, gt):
+        calls.append((record.id, threading.get_ident()))
+        return original(record, config, gt)
+
+    monkeypatch.setattr(harness, "score_sample", spy)
+    run_batch(records, EvalConfig(), workers=4)
+    assert calls == [(sample_id, threading.get_ident()) for sample_id in
+                     ("ast-1", "cnc-1", "smg-1", "vsu-1")]
+
+
+def test_one_overlong_prediction_fails_only_its_own_sample(tmp_path):
+    _write(tmp_path / "huge.tab", "".join(
+        f"{label}{body}-|\n" for label, body in
+        zip(("e|", "B|", "G|", "D|", "A|", "E|"),
+            ["9" * 5000] + ["-" * 5000] * 5)))
+    _write(tmp_path / "huge.abc", SCALE_ABC.replace("C D", "C" + "7" * 5000))
+    _write(tmp_path / "good.abc", SCALE_ABC)
+    _write(tmp_path / "gt.json", json.dumps(SCALE_GT))
+    manifest = _manifest(tmp_path, [
+        {"id": "a-tab", "task": "ast", "format": "tab",
+         "pred_path": "huge.tab", "gt_path": "gt.json"},
+        {"id": "c-abc", "task": "cnc", "format": "staff",
+         "pred_path": "huge.abc", "gt_path": "gt.json"},
+        {"id": "c-good", "task": "cnc", "format": "staff",
+         "pred_path": "good.abc", "gt_path": "gt.json"},
+        {"id": "s-tab", "task": "smg", "format": "tab",
+         "pred_path": "huge.tab", "declared_key": "C",
+         "declared_meter": "4/4"},
+    ])
+    report = run_batch(load_manifest(manifest), EvalConfig())
+    results = {r.sample_id: r for r in report.results}
+    assert results["c-good"].hybrid == 1
+    assert results["a-tab"].hybrid == 0
+    assert results["a-tab"].diagnostics[0].startswith("tab.fret_range: fret 9")
+    assert results["c-abc"].hybrid == 0
+    assert results["c-abc"].diagnostics == (
+        "abc.parse: number of 5000 digits is too long",)
+    assert results["s-tab"].technical == 0
+
+
+def test_load_manifest_overlong_integer_is_schema_error(tmp_path):
+    manifest = _write(
+        tmp_path / "manifest.jsonl",
+        '{"id": "t1", "task": "smg", "format": "tab", "pred_path": "p.tab", '
+        '"declared_key": "C", "declared_meter": "4/4", '
+        '"tuning": [' + "6" * 5000 + ', 59, 55, 50, 45, 40]}\n')
+    with pytest.raises(SchemaError, match="invalid JSON"):
+        load_manifest(manifest)
+
+
 def test_run_batch_deterministic_across_worker_counts(tmp_path):
     records = load_manifest(_full_fixture(tmp_path))
     serial = run_batch(records, EvalConfig(), workers=1)
@@ -231,6 +295,7 @@ def test_load_external_scores(tmp_path):
     '{"s1": 3}',
     '[1, 2]',
     'not json',
+    '{"s1": {"aesthetic": ' + "3" * 5000 + '}}',
 ])
 def test_load_external_scores_rejects_bad_payloads(tmp_path, payload):
     path = _write(tmp_path / "ext.json", payload)
@@ -299,6 +364,25 @@ def test_write_report_canonical_json_and_csv(tmp_path):
     lines = csv_out.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "task,format,count,invalid_count,mean"
     assert "cnc,staff,1,0,1.000000" in lines
+
+
+def test_write_report_serializes_the_report_once(tmp_path, monkeypatch):
+    records = load_manifest(_full_fixture(tmp_path))
+    report = run_batch(records, EvalConfig())
+    expected = report.to_json_dict()
+    calls = []
+    original = Report.to_json_dict
+
+    def counted(self):
+        calls.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Report, "to_json_dict", counted)
+    write_report(report, tmp_path / "r.json", tmp_path / "r.csv")
+    assert len(calls) == 1
+    assert json.loads((tmp_path / "r.json").read_text("utf-8")) == expected
+    csv_lines = (tmp_path / "r.csv").read_text("utf-8").splitlines()
+    assert len(csv_lines) == 1 + len(expected["per_task_format"])
 
 
 def test_eval_config_validation():

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import pytest
 
+from notegrade import parsers, tasks
 from notegrade.errors import ConfigError
 from notegrade.metrics import MetricWeights
-from notegrade.parsers import parse_abc, parse_ground_truth
+from notegrade.parsers import parse_abc, parse_ground_truth, validators
 from notegrade.pitch import KeySignature
 from notegrade.score import NotationFormat, TimeSignature
 from notegrade.tasks import (
@@ -289,3 +290,78 @@ def test_aggregate_capability_missing_task_contributes_zero():
     assert aggregate_capability(means) == Fraction(1, 4)
     weights = CapabilityWeights.parse("1,0,0,0")
     assert aggregate_capability(means, weights) == 1
+
+
+# --- each prediction is parsed once ------------------------------------------
+
+BAD_ABC = "X:1\nM:4/4\nL:1/4\nK:C\nC ? D|]\n"
+NO_UNIT_ABC = SCALE_ABC.replace("L:1/4\n", "")
+C_MAJOR, COMMON_TIME = KeySignature.parse("C"), TimeSignature(4, 4)
+
+
+@pytest.fixture
+def parse_calls(monkeypatch):
+    """Count calls to every format parser, under every name the scorers
+    and the validator can reach them by."""
+    calls = []
+    for module in (validators, tasks):
+        for name in ("parse_abc", "parse_jianpu", "parse_ascii_tab"):
+            original = getattr(parsers, name)
+
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def _score(task, fmt, text, **kwargs):
+    if task == "cnc":
+        return score_cnc("s", SCALE_GT, text, fmt, **kwargs)
+    if task == "ast":
+        return score_ast("s", SCALE_GT, text, fmt, **kwargs)
+    return score_smg("g", text, fmt, C_MAJOR, COMMON_TIME, **kwargs)
+
+
+@pytest.mark.parametrize("task,fmt,text,kwargs", [
+    *(pytest.param(task, fmt, text, {}, id=f"{task}-legal-{fmt.value}")
+      for task in ("cnc", "ast", "smg")
+      for fmt, text in ((STAFF, SCALE_ABC), (JIANPU, SCALE_JIANPU),
+                        (TAB, SCALE_TAB))),
+    pytest.param("ast", STAFF, NO_UNIT_ABC, {}, id="ast-illegal-parseable"),
+    pytest.param("cnc", STAFF, NO_UNIT_ABC, {}, id="cnc-strict-rejection"),
+    pytest.param("cnc", STAFF, NO_UNIT_ABC, {"lenient": True},
+                 id="cnc-lenient"),
+    pytest.param("cnc", STAFF, BAD_ABC, {}, id="cnc-unparseable"),
+    pytest.param("cnc", STAFF, BAD_ABC, {"lenient": True},
+                 id="cnc-lenient-unparseable"),
+    pytest.param("ast", STAFF, BAD_ABC, {}, id="ast-unparseable"),
+    pytest.param("ast", TAB, "e|9-|\n", {}, id="ast-unparseable-tab"),
+    pytest.param("smg", STAFF, BAD_ABC, {}, id="smg-unparseable"),
+])
+def test_each_prediction_is_parsed_once(parse_calls, task, fmt, text, kwargs):
+    _score(task, fmt, text, **kwargs)
+    assert parse_calls == [{STAFF: "parse_abc", JIANPU: "parse_jianpu",
+                            TAB: "parse_ascii_tab"}[fmt]]
+
+
+@pytest.mark.parametrize("score,diagnostics", [
+    (lambda: score_cnc("s", SCALE_GT, BAD_ABC, STAFF),
+     ("abc.parse: unexpected character '?'",)),
+    (lambda: score_cnc("s", SCALE_GT, BAD_ABC, STAFF, lenient=True),
+     ("abc.parse: unexpected character '?'",
+      "unparseable: unexpected character '?' (line 5, col 3)")),
+    (lambda: score_ast("s", SCALE_GT, BAD_ABC, STAFF),
+     ("abc.parse: unexpected character '?'",
+      "unparseable: unexpected character '?' (line 5, col 3)")),
+    (lambda: score_ast("s", SCALE_GT, "1=C 4/4\n1 2 x 4 |\n", JIANPU),
+     ("jianpu.parse: unexpected token 'x'",
+      "unparseable: unexpected token 'x' (line 2, col 5)")),
+    (lambda: score_smg("g", BAD_ABC, STAFF, C_MAJOR, COMMON_TIME),
+     ("abc.parse: unexpected character '?'",)),
+])
+def test_unparseable_diagnostics_are_unchanged(score, diagnostics):
+    result = score()
+    assert result.hybrid in (0, None)
+    assert result.diagnostics == diagnostics

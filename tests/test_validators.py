@@ -1,7 +1,10 @@
 import pytest
 
+from notegrade.errors import ParseError
 from notegrade.parsers import validate_format
-from notegrade.score import NotationFormat
+from notegrade.pitch import STANDARD_TUNING, Tuning
+from notegrade.score import FormatVerdict, NotationFormat
+from notegrade.tasks import parse_document
 
 STAFF = NotationFormat.ABC_STAFF
 JIANPU = NotationFormat.JIANPU
@@ -102,3 +105,39 @@ def test_verdict_json_shape():
     data = verdict.to_json_dict()
     assert data["legal"] is False
     assert data["violations"][0]["rule_id"] == "abc.bar_terminated"
+
+
+@pytest.mark.parametrize("fmt,text", [
+    (STAFF, GOOD_ABC), (JIANPU, GOOD_JIANPU), (TAB, GOOD_TAB),
+])
+def test_verdict_carries_the_parsed_document(fmt, text):
+    verdict = validate_format(fmt, text)
+    assert verdict.error is None
+    assert verdict.doc.format is fmt
+    assert verdict.doc == parse_document(fmt, text)
+
+
+@pytest.mark.parametrize("text,tuning,rule_id", [
+    (GOOD_TAB.replace("G|------", "G|----25"), STANDARD_TUNING,
+     "tab.fret_range"),
+    # Raised while handling a PitchError, so it starts with a context.
+    (GOOD_TAB.replace("e|--0-1-", "e|--0-24"),
+     Tuning((120, 110, 100, 90, 80, 70)), "tab.pitch_range"),
+], ids=["fret_range", "pitch_range"])
+def test_verdict_carries_the_parse_error_without_frames(text, tuning,
+                                                         rule_id):
+    verdict = validate_format(TAB, text, tuning)
+    assert verdict.doc is None
+    assert isinstance(verdict.error, ParseError)
+    assert verdict.error.rule_id == rule_id
+    assert verdict.error.__traceback__ is None
+    assert verdict.error.__context__ is None
+
+
+def test_document_and_error_stay_out_of_comparison_and_json():
+    legal = validate_format(STAFF, GOOD_ABC)
+    assert legal == FormatVerdict(())
+    assert legal.to_json_dict() == {"legal": True, "violations": []}
+    broken = validate_format(STAFF, "X:1\nM:4/4\nL:1/4\nK:C\nC ? D|]\n")
+    assert broken == FormatVerdict(broken.violations)
+    assert set(broken.to_json_dict()) == {"legal", "violations"}
