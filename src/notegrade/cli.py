@@ -86,16 +86,6 @@ def _parse_grid(text: str) -> Fraction:
     return grid
 
 
-def _parse_env_tuning(value: object) -> Tuning:
-    if not isinstance(value, list) or len(value) != 6 or \
-            not all(isinstance(v, int) and not isinstance(v, bool) for v in value):
-        raise ConfigError("tuning must be a list of 6 integers")
-    try:
-        return Tuning(tuple(value))
-    except PitchError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _build_config(env: dict, weights_flag: str | None = None,
                   lambda_flag: str | None = None,
                   grid_flag: str | None = None) -> EvalConfig:
@@ -119,7 +109,10 @@ def _build_config(env: dict, weights_flag: str | None = None,
 
     tuning = STANDARD_TUNING
     if "tuning" in env:
-        tuning = _parse_env_tuning(env["tuning"])
+        try:
+            tuning = Tuning.from_json(env["tuning"])
+        except PitchError as exc:
+            raise ConfigError(str(exc)) from None
 
     cnc_lenient = env.get("cnc_lenient", False)
     if not isinstance(cnc_lenient, bool):

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConfigError, ParseError, SchemaError
+from .errors import ConfigError, ParseError, PitchError, SchemaError
 from .metrics import MetricWeights
 from .parsers import load_ground_truth
 from .pitch import STANDARD_TUNING, KeySignature, Tuning
@@ -131,15 +131,9 @@ def _record(obj: object, line: int, base_dir: Path) -> SampleRecord:
         if fmt is not NotationFormat.ASCII_TAB:
             raise SchemaError(
                 f"manifest line {line}: tuning only applies to tab samples")
-        value = obj["tuning"]
-        if not isinstance(value, list) or len(value) != 6 or \
-                not all(isinstance(v, int) and not isinstance(v, bool)
-                        for v in value):
-            raise SchemaError(
-                f"manifest line {line}: tuning must be a list of 6 integers")
         try:
-            tuning = Tuning(tuple(value))
-        except Exception as exc:
+            tuning = Tuning.from_json(obj["tuning"])
+        except PitchError as exc:
             raise SchemaError(f"manifest line {line}: {exc}") from None
 
     return SampleRecord(
@@ -158,7 +152,9 @@ def load_manifest(path: str | Path) -> tuple[SampleRecord, ...]:
     base_dir = path.parent
     records = []
     seen: set[str] = set()
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # JSON Lines rows end at "\n" only: str.splitlines would also split
+    # inside a string at a raw U+2028 or other Unicode line break.
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
         try:
@@ -248,6 +244,13 @@ def score_sample(record: SampleRecord, config: EvalConfig,
     return result
 
 
+def _means(cells: dict, fmt: NotationFormat | None) -> dict[Task, Fraction]:
+    """Each task's mean normalized score in one format (None: in all),
+    for the tasks with a valid result there."""
+    return {task: total / valid for (task, f), (_, valid, total)
+            in cells.items() if f is fmt and valid}
+
+
 @dataclass(frozen=True)
 class Report:
     config: EvalConfig
@@ -256,20 +259,24 @@ class Report:
     external: dict[str, dict[str, float]] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
 
-    def task_means(self) -> dict[Task, Fraction]:
-        return self._means_for(self.results)
-
-    @staticmethod
-    def _means_for(results: tuple[TaskResult, ...]) -> dict[Task, Fraction]:
-        sums: dict[Task, Fraction] = {}
-        counts: dict[Task, int] = {}
-        for result in results:
+    def _cells(self) -> dict[tuple, list]:
+        """Group the results in one pass. The cells (task, format) and
+        (task, None), the latter for all formats, each hold the sample
+        count, the valid count and the exact sum of normalized scores."""
+        fmt_of = {record.id: record.format for record in self.records}
+        cells: dict[tuple, list] = {}
+        for result in self.results:
             value = result.normalized()
-            if value is None:
-                continue
-            sums[result.task] = sums.get(result.task, Fraction(0)) + value
-            counts[result.task] = counts.get(result.task, 0) + 1
-        return {task: sums[task] / counts[task] for task in sums}
+            for fmt in (fmt_of[result.sample_id], None):
+                cell = cells.setdefault((result.task, fmt), [0, 0, 0])
+                cell[0] += 1
+                if value is not None:
+                    cell[1] += 1
+                    cell[2] += value
+        return cells
+
+    def task_means(self) -> dict[Task, Fraction]:
+        return _means(self._cells(), None)
 
     def capability(self) -> Fraction:
         return aggregate_capability(self.task_means(), self.config.task_weights)
@@ -285,15 +292,14 @@ class Report:
             entry["fingering"] = None if scores is None else scores.get("fingering")
             per_sample.append(entry)
 
+        cells = self._cells()
         per_task = {}
         for task in Task:
-            task_results = [r for r in self.results if r.task is task]
-            valid = [r.normalized() for r in task_results
-                     if r.normalized() is not None]
-            mean = sum(valid, Fraction(0)) / len(valid) if valid else None
+            count, valid, total = cells.get((task, None), (0, 0, 0))
+            mean = total / valid if valid else None
             per_task[task.value] = {
-                "count": len(task_results),
-                "invalid_count": len(task_results) - len(valid),
+                "count": count,
+                "invalid_count": count - valid,
                 "mean": None if mean is None else float(mean),
                 "mean_exact": None if mean is None else
                 f"{mean.numerator}/{mean.denominator}",
@@ -302,32 +308,22 @@ class Report:
         per_task_format = []
         for task in Task:
             for fmt in NotationFormat:
-                cell = [r for r in self.results if r.task is task
-                        and fmt_of[r.sample_id] is fmt]
-                if not cell:
+                if (task, fmt) not in cells:
                     continue
-                valid = [r.normalized() for r in cell
-                         if r.normalized() is not None]
-                mean = sum(valid, Fraction(0)) / len(valid) if valid else None
+                count, valid, total = cells[task, fmt]
                 per_task_format.append({
                     "task": task.value,
                     "format": fmt.value,
-                    "count": len(cell),
-                    "invalid_count": len(cell) - len(valid),
-                    "mean": None if mean is None else float(mean),
+                    "count": count,
+                    "invalid_count": count - valid,
+                    "mean": float(total / valid) if valid else None,
                 })
 
-        capability_by_format = {}
-        for fmt in NotationFormat:
-            fmt_results = tuple(r for r in self.results
-                                if fmt_of[r.sample_id] is fmt)
-            if not fmt_results:
-                continue
-            means = self._means_for(fmt_results)
-            capability_by_format[fmt.value] = float(
-                aggregate_capability(means, self.config.task_weights))
-
-        capability = self.capability()
+        weights = self.config.task_weights
+        capability_by_format = {
+            fmt.value: float(aggregate_capability(_means(cells, fmt), weights))
+            for fmt in NotationFormat if any(f is fmt for _, f in cells)}
+        capability = aggregate_capability(_means(cells, None), weights)
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "config": self.config.to_json_dict(),

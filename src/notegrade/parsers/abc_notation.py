@@ -15,7 +15,8 @@ from fractions import Fraction
 
 from ..errors import ParseError, PitchError
 from ..pitch import LETTER_SEMITONES, KeySignature, check_midi, sort_chord
-from ..score import Event, Measure, NotationFormat, ScoreDoc, TimeSignature
+from ..score import (Event, Measure, NotationFormat, ScoreDoc,
+                     TimeSignature, Violation)
 
 # Circle-of-fifths signature sizes for the standard major keys; positive
 # counts are sharps, negative are flats.
@@ -27,7 +28,13 @@ SHARPS_ORDER = "FCGDAEB"
 FLATS_ORDER = "BEADGCF"
 
 _HEADER_RE = re.compile(r"^([A-Za-z]):(.*)$")
-_UNIT_RE = re.compile(r"^(\d+)/(\d+)$")
+_REQUIRED_HEADERS = (
+    ("X", "abc.header_x", "X: (index)"),
+    ("M", "abc.header_meter", "M: (meter)"),
+    ("L", "abc.header_unit", "L: (unit note length)"),
+    ("K", "abc.header_key", "K: (key)"),
+)
+_UNIT_RE = re.compile(r"([0-9]+)/([0-9]+)")
 _DIGITS = "0123456789"
 
 
@@ -48,40 +55,51 @@ def key_signature_accidentals(key_name: str) -> dict[str, int]:
     return {letter: -1 for letter in FLATS_ORDER[:-count]}
 
 
-def split_headers(text: str) -> tuple[dict[str, str], list[tuple[int, str]], int]:
+def split_headers(text: str, violations: list[Violation] | None = None,
+                  ) -> tuple[dict[str, str], list[tuple[int, str]], int]:
     """Split raw ABC text into header fields and body lines.
 
     Returns (headers, body lines as (1-based line number, text) pairs,
-    line number of the K: field). The header section ends at the K: field.
+    line number of the K: field). The header section ends at the K: field
+    or at a line that is not a header; it is read to the end, so that the
+    soft violations go into ``violations`` before any header error raises.
     """
     headers: dict[str, str] = {}
     lines = text.splitlines()
     key_line = 0
-    body: list[tuple[int, str]] = []
+    error = None
     for idx, raw in enumerate(lines, start=1):
-        if key_line:
-            body.append((idx, raw))
-            continue
         line = raw.strip()
         if not line:
             continue
         match = _HEADER_RE.match(line)
         if not match:
-            raise ParseError(
+            error = error or ParseError(
                 "tune body may not begin before the K: field",
                 line=idx, column=1, rule_id="abc.header_key")
-        field, value = match.group(1), match.group(2).strip()
-        if field not in "XTKML":
-            raise ParseError(
-                f"unsupported header field {field}:", line=idx, column=1,
-                rule_id="abc.header")
-        if field != "T" and field in headers:
-            raise ParseError(
-                f"duplicate header field {field}:", line=idx, column=1,
-                rule_id="abc.header")
-        headers[field] = value
+            break
+        field = match.group(1)
+        problem = ("unsupported" if field not in "XTKML" else
+                   "duplicate" if field != "T" and field in headers else None)
+        if problem and not error:
+            error = ParseError(f"{problem} header field {field}:", line=idx,
+                               column=1, rule_id="abc.header")
+        headers[field] = match.group(2).strip()
         if field == "K":
             key_line = idx
+            break
+    body = list(enumerate(lines[key_line:], start=key_line + 1)) \
+        if key_line else []
+    if violations is not None:
+        violations.extend(
+            Violation(rule, f"missing {label} header field")
+            for field, rule, label in _REQUIRED_HEADERS if field not in headers)
+        last = next((raw for _, raw in reversed(body) if raw.strip()), "")
+        if last and not last.rstrip().endswith(("|", "|]")):
+            violations.append(Violation(
+                "abc.bar_terminated", "tune does not end with a barline"))
+    if error:
+        raise error
     if not key_line:
         raise ParseError("missing K: header field", rule_id="abc.header_key")
     return headers, body, key_line
@@ -304,9 +322,14 @@ class _BodyParser:
         return Fraction(numerator, denominator), i
 
 
-def parse_abc(text: str) -> ScoreDoc:
-    """Parse ABC text into a document, raising ParseError on any violation."""
-    headers, body, key_line = split_headers(text)
+def parse_abc(text: str,
+              violations: list[Violation] | None = None) -> ScoreDoc:
+    """Parse ABC text into a document, raising ParseError on any violation.
+
+    Soft violations, which do not stop the parse, are appended to
+    ``violations`` when it is given.
+    """
+    headers, body, key_line = split_headers(text, violations)
     x_field = headers.get("X")
     if x_field is not None and not (x_field.isascii() and x_field.isdigit()):
         raise ParseError(
@@ -321,7 +344,7 @@ def parse_abc(text: str) -> ScoreDoc:
         raise ParseError("missing M: header field", rule_id="abc.header_meter")
     meter = parse_meter_field(headers["M"])
     if "L" in headers:
-        match = _UNIT_RE.match(headers["L"])
+        match = _UNIT_RE.fullmatch(headers["L"])
         num, den = (0, 0) if not match else (
             _number(part, rule_id="abc.header_unit") for part in match.groups())
         if num == 0 or den == 0:
@@ -336,7 +359,6 @@ def parse_abc(text: str) -> ScoreDoc:
         format=NotationFormat.ABC_STAFF,
         key=key,
         meter=meter,
-        unit_length=unit,
         measures=measures,
         final_barline=final_barline,
     )

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +28,7 @@ from ..errors import ParseError, SchemaError
 from ..pitch import MIDI_MAX, MIDI_MIN, KeySignature
 from ..score import GroundTruth, GroundTruthEvent, NotationFormat, TimeSignature
 
-_BEATS_RE = re.compile(r"^(\d+)/(\d+)$")
+_BEATS_RE = re.compile(r"([0-9]+)/([0-9]+)")
 
 _TOP_LEVEL_KEYS = {"id", "format", "key", "meter", "tempo_bpm", "events"}
 _EVENT_KEYS = {"onset_beats", "duration_beats", "midi"}
@@ -36,7 +37,7 @@ _EVENT_KEYS = {"onset_beats", "duration_beats", "midi"}
 def _beats(value: object, field: str, index: int) -> Fraction:
     if not isinstance(value, str):
         raise SchemaError(f"events[{index}].{field} must be a num/den string")
-    match = _BEATS_RE.match(value)
+    match = _BEATS_RE.fullmatch(value)
     try:
         num, den = (int(part) for part in match.groups()) if match else (0, 0)
     except ValueError:
@@ -76,6 +77,15 @@ def _event(obj: object, index: int) -> GroundTruthEvent:
     return GroundTruthEvent(onset, duration, tuple(midi))
 
 
+def _text_field(obj: dict, name: str, parse):
+    if not isinstance(obj[name], str):
+        raise SchemaError(f"{name} must be a string")
+    try:
+        return parse(obj[name])
+    except ParseError as exc:
+        raise SchemaError(str(exc)) from None
+
+
 def parse_ground_truth(text: str) -> GroundTruth:
     """Parse a ground-truth JSON document, raising SchemaError on any flaw."""
     try:
@@ -94,30 +104,17 @@ def parse_ground_truth(text: str) -> GroundTruth:
     sample_id = obj["id"]
     if not isinstance(sample_id, str) or not sample_id:
         raise SchemaError("id must be a non-empty string")
-    if not isinstance(obj["format"], str):
-        raise SchemaError("format must be a string")
-    try:
-        fmt = NotationFormat.parse(obj["format"])
-    except ParseError as exc:
-        raise SchemaError(str(exc)) from None
-    if not isinstance(obj["key"], str):
-        raise SchemaError("key must be a string")
-    try:
-        key = KeySignature.parse(obj["key"])
-    except ParseError as exc:
-        raise SchemaError(str(exc)) from None
-    if not isinstance(obj["meter"], str):
-        raise SchemaError("meter must be a string")
-    try:
-        meter = TimeSignature.parse(obj["meter"])
-    except ParseError as exc:
-        raise SchemaError(str(exc)) from None
+    fmt = _text_field(obj, "format", NotationFormat.parse)
+    key = _text_field(obj, "key", KeySignature.parse)
+    meter = _text_field(obj, "meter", TimeSignature.parse)
 
     tempo = obj.get("tempo_bpm")
     if tempo is not None:
+        # NaN fails both comparisons, infinity and huge ints the second.
         if not isinstance(tempo, (int, float)) or isinstance(tempo, bool) or \
-                tempo <= 0:
-            raise SchemaError(f"tempo_bpm must be a positive number, got {tempo!r}")
+                not 0 < tempo <= sys.float_info.max:
+            raise SchemaError(
+                f"tempo_bpm must be a finite positive number, got {tempo!r}")
         tempo = float(tempo)
 
     if not isinstance(obj["events"], list):

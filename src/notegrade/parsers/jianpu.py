@@ -23,19 +23,25 @@ from fractions import Fraction
 
 from ..errors import ParseError, PitchError
 from ..pitch import JianpuNote, KeySignature, jianpu_to_midi
-from ..score import Event, Measure, NotationFormat, ScoreDoc, TimeSignature
+from ..score import (Event, Measure, NotationFormat, ScoreDoc,
+                     TimeSignature, Violation)
 
-_DIRECTIVE_RE = re.compile(r"^1=([A-G][#b]?)(?:\s+(\d+/\d+))?$")
+_DIRECTIVE_RE = re.compile(r"1=([A-G][#b]?)(?:\s+([0-9]+/[0-9]+))?")
 _TOKEN_RE = re.compile(r"^([0-7])('+|,+)?(_+)?$")
 
 
-def parse_key_directive(line: str) -> tuple[KeySignature, TimeSignature]:
-    match = _DIRECTIVE_RE.match(line.strip())
+def parse_key_directive(line: str,
+                        line_no: int) -> tuple[KeySignature, TimeSignature]:
+    match = _DIRECTIVE_RE.fullmatch(line.strip())
     if not match:
         raise ParseError(
             f"malformed key directive {line.strip()!r}; expected 1=<tonic> [N/D]",
             rule_id="jianpu.key_directive")
-    key = KeySignature.parse(match.group(1))
+    try:
+        key = KeySignature.parse(match.group(1))
+    except ParseError as exc:
+        raise ParseError(str(exc), line=line_no,
+                         rule_id="jianpu.key_directive") from None
     meter_text = match.group(2)
     meter = TimeSignature.parse(meter_text) if meter_text else TimeSignature(4, 4)
     return key, meter
@@ -51,11 +57,14 @@ def _split_tokens(lines: list[tuple[int, str]]):
 
 
 def parse_jianpu(text: str,
-                 key_override: KeySignature | None = None) -> ScoreDoc:
+                 key_override: KeySignature | None = None,
+                 violations: list[Violation] | None = None) -> ScoreDoc:
     """Parse numbered-notation text, raising ParseError on any violation.
 
     ``key_override`` resolves degrees in a different key than the
     directive declares, for projecting a piece whose directive is wrong.
+    Music that does not end with a barline is a soft violation, added
+    to ``violations`` when it is given.
     """
     lines = list(enumerate(text.splitlines(), start=1))
     directive_idx = None
@@ -65,7 +74,14 @@ def parse_jianpu(text: str,
             break
     if directive_idx is None:
         raise ParseError("missing key directive", rule_id="jianpu.key_directive")
-    key, meter = parse_key_directive(lines[directive_idx][1])
+    if violations is not None:
+        last = next((raw for _, raw in reversed(lines[directive_idx + 1:])
+                     if raw.strip()), "")
+        if last and not last.rstrip().endswith("|"):
+            violations.append(Violation(
+                "jianpu.measure_bars", "music does not end with a barline"))
+    directive_line, directive = lines[directive_idx]
+    key, meter = parse_key_directive(directive, directive_line)
     if key_override is not None:
         key = key_override
 
@@ -86,11 +102,7 @@ def parse_jianpu(text: str,
     for line_no, column, token in _split_tokens(lines[directive_idx + 1:]):
         if token == "|":
             if not pending:
-                if closed:
-                    raise ParseError(
-                        "empty measure", line=line_no, column=column,
-                        rule_id="jianpu.measure_bars")
-                if last_was_bar:
+                if closed or last_was_bar:
                     raise ParseError(
                         "empty measure", line=line_no, column=column,
                         rule_id="jianpu.measure_bars")
@@ -154,7 +166,6 @@ def parse_jianpu(text: str,
         format=NotationFormat.JIANPU,
         key=key,
         meter=meter,
-        unit_length=Fraction(1, 4),
         measures=measures,
         final_barline=final_barline,
     )

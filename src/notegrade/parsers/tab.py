@@ -125,7 +125,6 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
         format=NotationFormat.ASCII_TAB,
         key=KeySignature.parse("C"),
         meter=TimeSignature(4, 4),
-        unit_length=Fraction(1, 4),
         measures=tuple(measures),
         final_barline=final_barline,
     )

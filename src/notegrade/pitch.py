@@ -21,6 +21,9 @@ MIDI_MAX = 127
 SHARP_NAMES = ("C", "C#", "D", "D#", "E", "F", "F#", "G", "G#", "A", "A#", "B")
 FLAT_NAMES = ("C", "Db", "D", "Eb", "E", "F", "Gb", "G", "Ab", "A", "Bb", "B")
 
+_PITCH_CLASSES = {**dict(zip(FLAT_NAMES, range(12))),
+                  **dict(zip(SHARP_NAMES, range(12)))}
+
 LETTER_SEMITONES = {"C": 0, "D": 2, "E": 4, "F": 5, "G": 7, "A": 9, "B": 11}
 
 # Semitone offsets of major-scale degrees 1..7 above the tonic.
@@ -30,7 +33,7 @@ MAJOR_SCALE_SEMITONES = (0, 2, 4, 5, 7, 9, 11)
 # octave region (tonic pitch class added to 60).
 TONIC_BASE_MIDI = 60
 
-_PITCH_NAME_RE = re.compile(r"^([A-Ga-g])([#b]?)(-?\d+)$")
+_PITCH_NAME_RE = re.compile(r"([A-Ga-g])([#b]?)(-?[0-9]+)")
 
 
 def check_midi(value: int) -> int:
@@ -85,7 +88,7 @@ def scientific_to_midi(pitch: ScientificPitch | str) -> int:
     if isinstance(pitch, ScientificPitch):
         semis = LETTER_SEMITONES[pitch.letter] + (1 if pitch.sharp else 0)
         return check_midi((pitch.octave + 1) * 12 + semis)
-    match = _PITCH_NAME_RE.match(pitch.strip())
+    match = _PITCH_NAME_RE.fullmatch(pitch.strip())
     if not match:
         raise ParseError(f"malformed pitch name {pitch!r}")
     letter, accidental, octave_str = match.groups()
@@ -102,12 +105,10 @@ def scientific_to_midi(pitch: ScientificPitch | str) -> int:
 
 def pitch_class_from_name(name: str) -> int:
     """Parse a bare pitch class ("C", "F#", "Bb") into 0..11."""
-    cleaned = name.strip()
-    if cleaned in SHARP_NAMES:
-        return SHARP_NAMES.index(cleaned)
-    if cleaned in FLAT_NAMES:
-        return FLAT_NAMES.index(cleaned)
-    raise ParseError(f"unknown pitch class {name!r}")
+    try:
+        return _PITCH_CLASSES[name.strip()]
+    except KeyError:
+        raise ParseError(f"unknown pitch class {name!r}") from None
 
 
 @dataclass(frozen=True)
@@ -151,6 +152,14 @@ class Tuning:
         for higher, lower in zip(self.base, self.base[1:]):
             if higher <= lower:
                 raise PitchError("string pitches must strictly decrease from string 1 to 6")
+
+    @classmethod
+    def from_json(cls, value: object) -> "Tuning":
+        """Build a tuning from decoded JSON: a list of 6 integers."""
+        if not isinstance(value, list) or len(value) != 6 or not all(
+                isinstance(v, int) and not isinstance(v, bool) for v in value):
+            raise PitchError("tuning must be a list of 6 integers")
+        return cls(tuple(value))
 
     def open_midi(self, string: int) -> int:
         if not 1 <= string <= 6:

@@ -7,11 +7,14 @@ a 4/4 measure holds 4 beats, a 6/8 measure holds 3.
 from __future__ import annotations
 
 import enum
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, PitchError
 from .pitch import KeySignature, check_midi
+
+_METER_RE = re.compile(r"([0-9]+)/([0-9]+)")
 
 
 class NotationFormat(enum.Enum):
@@ -46,14 +49,14 @@ class TimeSignature:
 
     @classmethod
     def parse(cls, text: str) -> "TimeSignature":
-        parts = text.strip().split("/")
-        if len(parts) != 2:
-            raise ParseError(f"meter must look like N/D, got {text!r}")
-        try:
-            num, den = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise ParseError(f"meter must look like N/D, got {text!r}") from None
-        return cls(num, den)
+        """Parse "N/D": ASCII digits only, surrounding whitespace allowed."""
+        match = _METER_RE.fullmatch(text.strip())
+        if match:
+            try:
+                return cls(int(match[1]), int(match[2]))
+            except ValueError:  # past int()'s digit limit
+                pass
+        raise ParseError(f"meter must look like N/D, got {text!r}")
 
     @property
     def beats(self) -> Fraction:
@@ -114,7 +117,6 @@ class ScoreDoc:
     format: NotationFormat
     key: KeySignature
     meter: TimeSignature
-    unit_length: Fraction
     measures: tuple[Measure, ...]
     final_barline: bool = True
 

@@ -191,16 +191,13 @@ def _conversion_result(sample_id: str, task: Task, gt: GroundTruth,
     gt_seq = project_ground_truth(gt)
     pred_seq = project(doc)
     acc_pitch = alignment_accuracy(gt_seq.pitch_tokens, pred_seq.pitch_tokens)
-    if fmt is NotationFormat.ASCII_TAB:
-        acc_duration = None
-        duration_value = None
-    else:
+    acc_duration = duration_value = None
+    diagnostics = list(extra_diagnostics)
+    if fmt is not NotationFormat.ASCII_TAB:
         acc_duration = alignment_accuracy(
             quantize_durations(gt_seq.durations, grid),
             quantize_durations(pred_seq.durations, grid))
         duration_value = acc_duration.value
-    diagnostics = list(extra_diagnostics)
-    if fmt is not NotationFormat.ASCII_TAB:
         if doc.key.tonic != gt.key.tonic:
             diagnostics.append(
                 f"key mismatch: wrote {doc.key.name}, expected {gt.key.name}")

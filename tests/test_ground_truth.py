@@ -131,3 +131,26 @@ def test_overlong_json_integer_is_schema_error():
     text = json.dumps(_doc()).replace("[60]", "[" + "6" * 5000 + "]")
     with pytest.raises(SchemaError, match="JSON"):
         parse_ground_truth(text)
+
+
+@pytest.mark.parametrize("beats", ["٣/4", "1/٤", "1_0/4", "+1/4", "1/4\n",
+                                   " 1/4"])
+def test_beats_take_ascii_digits_only(beats):
+    doc = _doc()
+    doc["events"][0]["duration_beats"] = beats
+    with pytest.raises(SchemaError):
+        parse_ground_truth(json.dumps(doc))
+
+
+@pytest.mark.parametrize("tempo", ["NaN", "Infinity", "-Infinity", "1e400",
+                                   "1" + "0" * 400])
+def test_tempo_must_be_finite(tempo):
+    text = json.dumps(_doc(tempo_bpm="T")).replace('"T"', tempo)
+    with pytest.raises(SchemaError) as err:
+        parse_ground_truth(text)
+    assert "tempo_bpm must be a finite positive number" in str(err.value)
+
+
+def test_meter_takes_ascii_digits_only():
+    with pytest.raises(SchemaError):
+        parse_ground_truth(json.dumps(_doc(meter="٣/4")))

@@ -1,20 +1,30 @@
 import json
 import threading
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from notegrade import harness
+from notegrade.cli import main
 from notegrade.errors import ConfigError, SchemaError
 from notegrade.harness import (
     EvalConfig,
     Report,
+    SampleRecord,
     load_external_scores,
     load_manifest,
     run_batch,
     write_report,
 )
-from notegrade.tasks import Task
+from notegrade.score import NotationFormat
+from notegrade.tasks import (
+    CapabilityWeights,
+    Task,
+    TaskResult,
+    aggregate_capability,
+)
 
 SCALE_ABC = "X:1\nM:4/4\nL:1/4\nK:C\nC D E F|G A B c|]\n"
 
@@ -396,3 +406,149 @@ def test_capability_by_format_pools_convertible_tasks(tmp_path):
     records = load_manifest(_full_fixture(tmp_path))
     doc = run_batch(records, EvalConfig()).to_json_dict()
     assert doc["capability_by_format"]["staff"] == 1.0
+
+
+# --- Oracle: the aggregates as they were computed before the one grouping
+# pass, with one scan of the results per task, per task and format, and
+# per format.
+
+def _oracle_means_for(results):
+    sums, counts = {}, {}
+    for result in results:
+        value = result.normalized()
+        if value is None:
+            continue
+        sums[result.task] = sums.get(result.task, Fraction(0)) + value
+        counts[result.task] = counts.get(result.task, 0) + 1
+    return {task: sums[task] / counts[task] for task in sums}
+
+
+def _oracle_aggregates(report):
+    fmt_of = {record.id: record.format for record in report.records}
+    results = report.results
+    per_task = {}
+    for task in Task:
+        task_results = [r for r in results if r.task is task]
+        valid = [r.normalized() for r in task_results
+                 if r.normalized() is not None]
+        mean = sum(valid, Fraction(0)) / len(valid) if valid else None
+        per_task[task.value] = {
+            "count": len(task_results),
+            "invalid_count": len(task_results) - len(valid),
+            "mean": None if mean is None else float(mean),
+            "mean_exact": None if mean is None else
+            f"{mean.numerator}/{mean.denominator}",
+        }
+    per_task_format = []
+    for task in Task:
+        for fmt in NotationFormat:
+            cell = [r for r in results
+                    if r.task is task and fmt_of[r.sample_id] is fmt]
+            if not cell:
+                continue
+            valid = [r.normalized() for r in cell
+                     if r.normalized() is not None]
+            mean = sum(valid, Fraction(0)) / len(valid) if valid else None
+            per_task_format.append({
+                "task": task.value, "format": fmt.value, "count": len(cell),
+                "invalid_count": len(cell) - len(valid),
+                "mean": None if mean is None else float(mean),
+            })
+    capability_by_format = {}
+    for fmt in NotationFormat:
+        fmt_results = [r for r in results if fmt_of[r.sample_id] is fmt]
+        if fmt_results:
+            capability_by_format[fmt.value] = float(aggregate_capability(
+                _oracle_means_for(fmt_results), report.config.task_weights))
+    means = _oracle_means_for(results)
+    capability = aggregate_capability(means, report.config.task_weights)
+    return means, capability, {
+        "per_task": per_task,
+        "per_task_format": per_task_format,
+        "capability": float(capability),
+        "capability_exact":
+            f"{capability.numerator}/{capability.denominator}",
+        "capability_by_format": capability_by_format,
+    }
+
+
+_FORMATS = tuple(NotationFormat)
+
+
+@st.composite
+def _reports(draw):
+    # Few tasks and formats per draw, so that empty cells are common.
+    tasks = draw(st.lists(st.sampled_from(tuple(Task)), min_size=1,
+                          max_size=4, unique=True))
+    formats = draw(st.lists(st.sampled_from(_FORMATS), min_size=1,
+                            max_size=3, unique=True))
+    records, results = [], []
+    for i in range(draw(st.integers(0, 24))):
+        task, fmt = draw(st.sampled_from(tasks)), draw(st.sampled_from(formats))
+        sample_id = f"s{i:02d}"
+        valid = draw(st.integers(0, 4)) > 0
+        if task is Task.VSU:
+            result = TaskResult(sample_id, task, valid=valid,
+                                correct=draw(st.booleans()))
+        elif task is Task.SMG:
+            result = TaskResult(sample_id, task, valid=valid,
+                                technical=draw(st.integers(0, 5)))
+        else:
+            result = TaskResult(sample_id, task, valid=valid,
+                                hybrid=draw(st.fractions(0, 1,
+                                                         max_denominator=97)))
+        records.append(SampleRecord(sample_id, task, fmt, Path("p")))
+        results.append(result)
+    weights = draw(st.sampled_from((
+        CapabilityWeights(),
+        CapabilityWeights(Fraction(1, 10), Fraction(2, 10), Fraction(3, 10),
+                          Fraction(4, 10)),
+        CapabilityWeights(Fraction(0), Fraction(1, 3), Fraction(0),
+                          Fraction(2, 3)))))
+    return Report(EvalConfig(task_weights=weights), tuple(records),
+                  tuple(results))
+
+
+@settings(max_examples=300, deadline=None)
+@given(report=_reports())
+def test_aggregates_match_the_oracle(report):
+    means, capability, aggregates = _oracle_aggregates(report)
+    data = report.to_json_dict()
+    assert {key: data[key] for key in aggregates} == aggregates
+    assert report.task_means() == means
+    assert report.capability() == capability
+
+
+@pytest.mark.parametrize("tuning,message", [
+    ("standard", "tuning must be a list of 6 integers"),
+    ([64, 59, 55], "tuning must be a list of 6 integers"),
+    ([64, 59, 55, 50, 45, 40.0], "tuning must be a list of 6 integers"),
+    ([64, 59, 55, 50, 45, True], "tuning must be a list of 6 integers"),
+    ([64, 59, 55, 50, 45, 140], "MIDI pitch 140 outside 0..127"),
+    ([64, 59, 55, 50, 45, 50],
+     "string pitches must strictly decrease from string 1 to 6"),
+], ids=["string", "short", "float", "bool", "range", "order"])
+def test_cli_and_manifest_reject_the_same_tunings(tmp_path, monkeypatch,
+                                                   capsys, tuning, message):
+    row = {"id": "x", "task": "smg", "format": "tab", "pred_path": "p",
+           "declared_key": "C", "declared_meter": "4/4", "tuning": tuning}
+    with pytest.raises(SchemaError) as err:
+        load_manifest(_manifest(tmp_path, [row]))
+    assert str(err.value) == f"manifest line 1: {message}"
+
+    config = _write(tmp_path / "cfg.json", json.dumps({"tuning": tuning}))
+    monkeypatch.setenv("NOTEGRADE_CONFIG", str(config))
+    pred = _write(tmp_path / "tune.abc", SCALE_ABC)
+    assert main(["validate", "--format", "staff", "--input", str(pred)]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_manifest_rows_end_at_newline_only(tmp_path):
+    _write(tmp_path / "p.txt", "b")
+    row = {"id": "x", "task": "vsu", "format": "staff", "pred_path": "p.txt",
+           "answer": "b\u2028line two\u0085"}
+    text = json.dumps(row, ensure_ascii=False)
+    assert "\u2028" in text
+    manifest = _write(tmp_path / "m.jsonl", text + "\r\n\n")
+    (record,) = load_manifest(manifest)
+    assert record.answer == "b\u2028line two\u0085"

@@ -4,6 +4,7 @@ import pytest
 
 from notegrade.errors import ParseError
 from notegrade.parsers import parse_jianpu
+from notegrade.parsers.abc_notation import MAJOR_KEY_SIGNATURES
 from notegrade.pitch import KeySignature
 
 
@@ -138,3 +139,26 @@ def test_key_override_transposes():
     doc = parse_jianpu("1=C 4/4\n1 3 5 |\n",
                        key_override=KeySignature.parse("D"))
     assert _pitches(doc) == [(62,), (66,), (69,)]
+
+
+# Cb is left out until it is mended with the benchmark (ROADMAP item 1).
+@pytest.mark.parametrize("key", sorted(MAJOR_KEY_SIGNATURES.keys() - {"Cb"}))
+def test_every_listed_key_parses(key):
+    doc = _doc("1 2 3 4 |", directive=f"1={key} 4/4")
+    assert doc.key == KeySignature.parse(key)
+
+
+@pytest.mark.parametrize("tonic", ["Fb", "E#", "B#"])
+def test_unknown_tonic_is_a_key_directive_error(tonic):
+    with pytest.raises(ParseError) as err:
+        parse_jianpu(f"\n\n1={tonic} 4/4\n1 2 3 4 |\n")
+    assert err.value.rule_id == "jianpu.key_directive"
+    assert err.value.line == 3
+
+
+@pytest.mark.parametrize("directive", ["1=C ٣/4", "1=C 3/٤", "1=C 1_0/4",
+                                       "1=C +3/4"])
+def test_directive_meter_takes_ascii_digits_only(directive):
+    with pytest.raises(ParseError) as err:
+        _doc("1 2 3 |", directive=directive)
+    assert err.value.rule_id == "jianpu.key_directive"

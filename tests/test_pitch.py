@@ -85,8 +85,9 @@ def test_pitch_class_names():
     assert pitch_class_from_name("F#") == 6
     assert pitch_class_from_name("Gb") == 6
     assert pitch_class_from_name("Bb") == 10
-    with pytest.raises(ParseError):
-        pitch_class_from_name("X")
+    for name in ("X", "Fb", "E#", "B#", "Cbb"):
+        with pytest.raises(ParseError):
+            pitch_class_from_name(name)
 
 
 def test_key_signature_base_midi_anchored_at_octave_4():
@@ -180,3 +181,9 @@ def test_sort_chord_strictly_ascending(pitches):
     result = sort_chord(pitches)
     assert all(a < b for a, b in zip(result, result[1:]))
     assert set(result) == set(pitches)
+
+
+@pytest.mark.parametrize("name", ["C٤", "C+4", "C0_4", "C-٠"])
+def test_scientific_to_midi_takes_ascii_digits_only(name):
+    with pytest.raises(ParseError):
+        scientific_to_midi(name)
