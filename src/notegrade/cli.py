@@ -22,25 +22,20 @@ from pathlib import Path
 from .errors import ConfigError, NotegradeError, ParseError, SchemaError
 from .harness import (
     EvalConfig,
+    SampleRecord,
     load_external_scores,
     load_manifest,
     run_batch,
+    score_text,
     write_report,
 )
 from .metrics import MetricWeights
 from .pitch import STANDARD_TUNING, KeySignature, PitchError, Tuning
-from .projection import project, project_ground_truth, sequence_to_json_dict
-from .parsers import load_ground_truth, validate_format
+from .projection import (DEFAULT_GRID, project, project_ground_truth,
+                         sequence_to_json_dict)
+from .parsers import load_ground_truth, parse_document, validate_format
 from .score import NotationFormat, TimeSignature
-from .tasks import (
-    CapabilityWeights,
-    Task,
-    parse_document,
-    score_ast,
-    score_cnc,
-    score_smg,
-    score_vsu,
-)
+from .tasks import CapabilityWeights, Task
 
 ENV_CONFIG_VAR = "NOTEGRADE_CONFIG"
 
@@ -81,50 +76,33 @@ def _parse_grid(text: str) -> Fraction:
         grid = Fraction(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigError(f"malformed grid {text!r}") from None
-    if grid <= 0:
-        raise ConfigError(f"grid must be positive, got {text!r}")
-    return grid
+    return EvalConfig(grid=grid).grid  # EvalConfig holds the grid > 0 check
+
+
+def _layered(env: dict, key: str, flag: str | None, parse, default):
+    """The flag's value over the file's over ``default``; the file's
+    value is parsed, so checked, even when the flag overrides it."""
+    value = parse(str(env[key])) if key in env else default
+    return value if flag is None else parse(flag)
 
 
 def _build_config(env: dict, weights_flag: str | None = None,
                   lambda_flag: str | None = None,
                   grid_flag: str | None = None) -> EvalConfig:
-    weights = MetricWeights()
-    if "weights" in env:
-        weights = MetricWeights.parse(str(env["weights"]))
-    if weights_flag is not None:
-        weights = MetricWeights.parse(weights_flag)
-
-    task_weights = CapabilityWeights()
-    if "lambda" in env:
-        task_weights = CapabilityWeights.parse(str(env["lambda"]))
-    if lambda_flag is not None:
-        task_weights = CapabilityWeights.parse(lambda_flag)
-
-    grid = EvalConfig().grid
-    if "grid" in env:
-        grid = _parse_grid(str(env["grid"]))
-    if grid_flag is not None:
-        grid = _parse_grid(grid_flag)
-
+    weights = _layered(env, "weights", weights_flag, MetricWeights.parse,
+                       MetricWeights())
+    task_weights = _layered(env, "lambda", lambda_flag,
+                            CapabilityWeights.parse, CapabilityWeights())
+    grid = _layered(env, "grid", grid_flag, _parse_grid, DEFAULT_GRID)
     tuning = STANDARD_TUNING
     if "tuning" in env:
         try:
             tuning = Tuning.from_json(env["tuning"])
         except PitchError as exc:
             raise ConfigError(str(exc)) from None
-
-    cnc_lenient = env.get("cnc_lenient", False)
-    if not isinstance(cnc_lenient, bool):
-        raise ConfigError("cnc_lenient must be a boolean")
-    ast_length_cap = env.get("ast_length_cap")
-    if ast_length_cap is not None and (not isinstance(ast_length_cap, int)
-                                       or isinstance(ast_length_cap, bool)):
-        raise ConfigError("ast_length_cap must be an integer")
-
     return EvalConfig(weights=weights, task_weights=task_weights, grid=grid,
-                      tuning=tuning, cnc_lenient=cnc_lenient,
-                      ast_length_cap=ast_length_cap)
+                      tuning=tuning, cnc_lenient=env.get("cnc_lenient", False),
+                      ast_length_cap=env.get("ast_length_cap"))
 
 
 def _read_text(path: str, side: str) -> str:
@@ -161,24 +139,19 @@ def _cmd_score(args: argparse.Namespace, env: dict) -> int:
     task = Task.parse(args.task)
     fmt = NotationFormat.parse(args.format)
     prediction = _read_text(args.pred, "prediction")
+    sample_id = Path(args.pred).stem
+    gt = answer = key = meter = None
     if task is Task.VSU:
         answer = _read_text(args.gt, "benchmark")
-        result = score_vsu(Path(args.pred).stem, answer, prediction)
-    elif task is Task.CNC:
-        gt = load_ground_truth(args.gt)
-        result = score_cnc(gt.id, gt, prediction, fmt, weights=config.weights,
-                           grid=config.grid, tuning=config.tuning,
-                           lenient=config.cnc_lenient)
-    elif task is Task.AST:
-        gt = load_ground_truth(args.gt)
-        result = score_ast(gt.id, gt, prediction, fmt, weights=config.weights,
-                           grid=config.grid, tuning=config.tuning,
-                           length_cap=config.ast_length_cap)
-    else:
+    elif task is Task.SMG:
         key, meter = _load_smg_declaration(args.gt)
-        result = score_smg(Path(args.pred).stem, prediction, fmt, key, meter,
-                           tuning=config.tuning)
-    _print_json(result.to_json_dict())
+    else:
+        gt = load_ground_truth(args.gt)
+        sample_id = gt.id
+    record = SampleRecord(id=sample_id, task=task, format=fmt,
+                          pred_path=Path(args.pred), answer=answer,
+                          declared_key=key, declared_meter=meter)
+    _print_json(score_text(record, config, gt, prediction).to_json_dict())
     return 0
 
 

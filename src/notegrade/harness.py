@@ -49,9 +49,14 @@ class EvalConfig:
     def __post_init__(self) -> None:
         if self.grid <= 0:
             raise ConfigError(f"grid must be positive, got {self.grid}")
-        if self.ast_length_cap is not None and self.ast_length_cap < 1:
-            raise ConfigError(
-                f"ast_length_cap must be >= 1, got {self.ast_length_cap}")
+        if not isinstance(self.cnc_lenient, bool):
+            raise ConfigError("cnc_lenient must be a boolean")
+        cap = self.ast_length_cap
+        if cap is not None:
+            if not isinstance(cap, int) or isinstance(cap, bool):
+                raise ConfigError("ast_length_cap must be an integer")
+            if cap < 1:
+                raise ConfigError(f"ast_length_cap must be >= 1, got {cap}")
 
     def to_json_dict(self) -> dict:
         return {
@@ -218,27 +223,33 @@ def _read_prediction(path: Path) -> tuple[str, tuple[str, ...]]:
         return "", (f"prediction unreadable, scored as empty: {exc}",)
 
 
+def score_text(record: SampleRecord, config: EvalConfig,
+               gt: GroundTruth | None, prediction: str) -> TaskResult:
+    """Score one sample's prediction text: the one place a task picks its
+    scorer, for ``notegrade score`` and ``score_sample`` alike."""
+    tuning = record.tuning or config.tuning
+    if record.task is Task.VSU:
+        return score_vsu(record.id, record.answer, prediction)
+    if record.task is Task.CNC:
+        return score_cnc(
+            record.id, gt, prediction, record.format,
+            weights=config.weights, grid=config.grid, tuning=tuning,
+            lenient=config.cnc_lenient)
+    if record.task is Task.AST:
+        return score_ast(
+            record.id, gt, prediction, record.format,
+            weights=config.weights, grid=config.grid, tuning=tuning,
+            length_cap=config.ast_length_cap)
+    return score_smg(
+        record.id, prediction, record.format,
+        record.declared_key, record.declared_meter, tuning=tuning)
+
+
 def score_sample(record: SampleRecord, config: EvalConfig,
                  gt: GroundTruth | None) -> TaskResult:
     """Score one sample; ground truth, when needed, is loaded by the caller."""
     prediction, diagnostics = _read_prediction(record.pred_path)
-    tuning = record.tuning or config.tuning
-    if record.task is Task.VSU:
-        result = score_vsu(record.id, record.answer, prediction)
-    elif record.task is Task.CNC:
-        result = score_cnc(
-            record.id, gt, prediction, record.format,
-            weights=config.weights, grid=config.grid, tuning=tuning,
-            lenient=config.cnc_lenient)
-    elif record.task is Task.AST:
-        result = score_ast(
-            record.id, gt, prediction, record.format,
-            weights=config.weights, grid=config.grid, tuning=tuning,
-            length_cap=config.ast_length_cap)
-    else:
-        result = score_smg(
-            record.id, prediction, record.format,
-            record.declared_key, record.declared_meter, tuning=tuning)
+    result = score_text(record, config, gt, prediction)
     if diagnostics:
         result = replace(result, diagnostics=diagnostics + result.diagnostics)
     return result

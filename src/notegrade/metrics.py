@@ -60,6 +60,18 @@ def alignment_accuracy(gt: Sequence[Hashable],
     return AccuracyScore(value, distance, len(gt), len(pred))
 
 
+def parse_numbers(text: str, count: int, what: str) -> list[Fraction]:
+    """Exactly ``count`` comma-separated exact numbers, or a ConfigError."""
+    parts = text.split(",")
+    if len(parts) != count:
+        raise ConfigError(f"{what} must be {({3: 'three', 4: 'four'})[count]}"
+                          f" comma-separated numbers, got {text!r}")
+    try:
+        return [Fraction(part.strip()) for part in parts]
+    except (ValueError, ZeroDivisionError):
+        raise ConfigError(f"malformed {what} {text!r}") from None
+
+
 @dataclass(frozen=True)
 class MetricWeights:
     """Hybrid-score weights over pitch accuracy, duration accuracy, and
@@ -81,15 +93,7 @@ class MetricWeights:
 
     @classmethod
     def parse(cls, text: str) -> "MetricWeights":
-        parts = text.split(",")
-        if len(parts) != 3:
-            raise ConfigError(
-                f"weights must be three comma-separated numbers, got {text!r}")
-        try:
-            values = [Fraction(part.strip()) for part in parts]
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"malformed weights {text!r}") from None
-        return cls(*values)
+        return cls(*parse_numbers(text, 3, "weights"))
 
     def without_duration(self) -> "MetricWeights":
         """Redistribute the duration weight when a format carries no rhythm."""

@@ -56,17 +56,19 @@ def key_signature_accidentals(key_name: str) -> dict[str, int]:
 
 
 def split_headers(text: str, violations: list[Violation] | None = None,
-                  ) -> tuple[dict[str, str], list[tuple[int, str]], int]:
+                  ) -> tuple[dict[str, str], list[tuple[int, str]],
+                             dict[str, int]]:
     """Split raw ABC text into header fields and body lines.
 
     Returns (headers, body lines as (1-based line number, text) pairs,
-    line number of the K: field). The header section ends at the K: field
-    or at a line that is not a header; it is read to the end, so that the
-    soft violations go into ``violations`` before any header error raises.
+    the line number of each header field). The header section ends at the
+    K: field or at a line that is not a header; it is read to the end, so
+    that the soft violations go into ``violations`` before any header
+    error raises.
     """
     headers: dict[str, str] = {}
+    header_lines: dict[str, int] = {}
     lines = text.splitlines()
-    key_line = 0
     error = None
     for idx, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -85,9 +87,10 @@ def split_headers(text: str, violations: list[Violation] | None = None,
             error = ParseError(f"{problem} header field {field}:", line=idx,
                                column=1, rule_id="abc.header")
         headers[field] = match.group(2).strip()
+        header_lines[field] = idx
         if field == "K":
-            key_line = idx
             break
+    key_line = header_lines.get("K", 0)
     body = list(enumerate(lines[key_line:], start=key_line + 1)) \
         if key_line else []
     if violations is not None:
@@ -102,7 +105,7 @@ def split_headers(text: str, violations: list[Violation] | None = None,
         raise error
     if not key_line:
         raise ParseError("missing K: header field", rule_id="abc.header_key")
-    return headers, body, key_line
+    return headers, body, header_lines
 
 
 def parse_meter_field(value: str, line: int | None = None) -> TimeSignature:
@@ -329,27 +332,27 @@ def parse_abc(text: str,
     Soft violations, which do not stop the parse, are appended to
     ``violations`` when it is given.
     """
-    headers, body, key_line = split_headers(text, violations)
+    headers, body, line_of = split_headers(text, violations)
     x_field = headers.get("X")
     if x_field is not None and not (x_field.isascii() and x_field.isdigit()):
-        raise ParseError(
-            "X: field must be a number", rule_id="abc.header_x")
+        raise ParseError("X: field must be a number", line=line_of["X"],
+                         rule_id="abc.header_x")
     key_name = headers["K"]
     if key_name not in MAJOR_KEY_SIGNATURES:
         raise ParseError(
-            f"unsupported key {key_name!r}", line=key_line,
+            f"unsupported key {key_name!r}", line=line_of["K"],
             rule_id="abc.header_key")
     key = KeySignature.parse(key_name)
     if "M" not in headers:
         raise ParseError("missing M: header field", rule_id="abc.header_meter")
-    meter = parse_meter_field(headers["M"])
+    meter = parse_meter_field(headers["M"], line_of["M"])
     if "L" in headers:
+        where = {"line": line_of["L"], "rule_id": "abc.header_unit"}
         match = _UNIT_RE.fullmatch(headers["L"])
         num, den = (0, 0) if not match else (
-            _number(part, rule_id="abc.header_unit") for part in match.groups())
+            _number(part, **where) for part in match.groups())
         if num == 0 or den == 0:
-            raise ParseError(
-                f"malformed L: field {headers['L']!r}", rule_id="abc.header_unit")
+            raise ParseError(f"malformed L: field {headers['L']!r}", **where)
         unit = Fraction(num, den)
     else:
         unit = default_unit_length(meter)

@@ -36,14 +36,15 @@ def parse_key_directive(line: str,
     if not match:
         raise ParseError(
             f"malformed key directive {line.strip()!r}; expected 1=<tonic> [N/D]",
-            rule_id="jianpu.key_directive")
+            line=line_no, rule_id="jianpu.key_directive")
+    tonic, meter_text = match.groups()
     try:
-        key = KeySignature.parse(match.group(1))
+        key = KeySignature.parse(tonic)
+        meter = (TimeSignature.parse(meter_text) if meter_text
+                 else TimeSignature(4, 4))
     except ParseError as exc:
         raise ParseError(str(exc), line=line_no,
                          rule_id="jianpu.key_directive") from None
-    meter_text = match.group(2)
-    meter = TimeSignature.parse(meter_text) if meter_text else TimeSignature(4, 4)
     return key, meter
 
 

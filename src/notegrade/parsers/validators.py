@@ -12,10 +12,22 @@ from __future__ import annotations
 
 from ..errors import ParseError
 from ..pitch import STANDARD_TUNING, Tuning
-from ..score import FormatVerdict, NotationFormat, Violation
+from ..score import FormatVerdict, NotationFormat, ScoreDoc, Violation
 from .abc_notation import parse_abc
 from .jianpu import parse_jianpu
 from .tab import parse_ascii_tab
+
+
+def parse_document(fmt: NotationFormat, text: str,
+                   tuning: Tuning = STANDARD_TUNING,
+                   violations: list[Violation] | None = None) -> ScoreDoc:
+    """Parse with the one parser of ``fmt``; soft violations go into
+    ``violations`` when it is given (tablature has none)."""
+    if fmt is NotationFormat.ABC_STAFF:
+        return parse_abc(text, violations=violations)
+    if fmt is NotationFormat.JIANPU:
+        return parse_jianpu(text, violations=violations)
+    return parse_ascii_tab(text, tuning)
 
 
 def validate_format(fmt: NotationFormat, text: str,
@@ -23,12 +35,7 @@ def validate_format(fmt: NotationFormat, text: str,
     """Judge a document against the strict rules of one notation format."""
     violations: list[Violation] = []
     try:
-        if fmt is NotationFormat.ABC_STAFF:
-            doc = parse_abc(text, violations=violations)
-        elif fmt is NotationFormat.JIANPU:
-            doc = parse_jianpu(text, violations=violations)
-        else:
-            doc = parse_ascii_tab(text, tuning)
+        doc = parse_document(fmt, text, tuning, violations)
     except ParseError as exc:
         rule_id = exc.rule_id or f"{fmt.value}.parse"
         if all(v.rule_id != rule_id for v in violations):

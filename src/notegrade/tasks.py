@@ -16,12 +16,16 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .metrics import AccuracyScore, MetricWeights, alignment_accuracy, hybrid_score
-from .parsers import parse_abc, parse_ascii_tab, parse_jianpu, validate_format
+from .metrics import (AccuracyScore, MetricWeights, alignment_accuracy,
+                      hybrid_score, parse_numbers)
+# Three parsers are unused here but kept: bench/spans.py patches them by name.
+from .parsers import (parse_abc, parse_ascii_tab, parse_document,
+                      parse_jianpu, validate_format)
 from .errors import ConfigError
 from .pitch import STANDARD_TUNING, KeySignature, Tuning
 from .projection import (
     DEFAULT_GRID,
+    CanonicalSequence,
     project,
     project_ground_truth,
     quantize_durations,
@@ -164,15 +168,6 @@ def score_vsu(sample_id: str, answer: str, prediction: str) -> TaskResult:
                       diagnostics=tuple(diagnostics))
 
 
-def parse_document(fmt: NotationFormat, text: str,
-                   tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
-    if fmt is NotationFormat.ABC_STAFF:
-        return parse_abc(text)
-    if fmt is NotationFormat.JIANPU:
-        return parse_jianpu(text)
-    return parse_ascii_tab(text, tuning)
-
-
 def _rejection(sample_id: str, task: Task, fmt: NotationFormat,
                diagnostics: tuple[str, ...]) -> TaskResult:
     no_duration_stream = fmt is NotationFormat.ASCII_TAB
@@ -185,11 +180,10 @@ def _rejection(sample_id: str, task: Task, fmt: NotationFormat,
 
 
 def _conversion_result(sample_id: str, task: Task, gt: GroundTruth,
-                       doc: ScoreDoc, fmt: NotationFormat, legal: bool,
-                       weights: MetricWeights, grid: Fraction,
+                       doc: ScoreDoc, gt_seq: CanonicalSequence,
+                       pred_seq: CanonicalSequence, fmt: NotationFormat,
+                       legal: bool, weights: MetricWeights, grid: Fraction,
                        extra_diagnostics: tuple[str, ...] = ()) -> TaskResult:
-    gt_seq = project_ground_truth(gt)
-    pred_seq = project(doc)
     acc_pitch = alignment_accuracy(gt_seq.pitch_tokens, pred_seq.pitch_tokens)
     acc_duration = duration_value = None
     diagnostics = list(extra_diagnostics)
@@ -232,8 +226,9 @@ def score_cnc(sample_id: str, gt: GroundTruth, prediction: str,
     if doc is None:
         return _rejection(sample_id, Task.CNC, target_format,
                           diagnostics + (f"unparseable: {verdict.error}",))
-    return _conversion_result(sample_id, Task.CNC, gt, doc, target_format,
-                              verdict.legal, weights, grid, diagnostics)
+    return _conversion_result(
+        sample_id, Task.CNC, gt, doc, project_ground_truth(gt), project(doc),
+        target_format, verdict.legal, weights, grid, diagnostics)
 
 
 def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
@@ -256,9 +251,10 @@ def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
     if doc is None:
         return _rejection(sample_id, Task.AST, fmt,
                           diagnostics + (f"unparseable: {verdict.error}",))
+    gt_seq, pred_seq = project_ground_truth(gt), project(doc)
     if length_cap is not None:
-        pred_len = len(project(doc).pitch_tokens)
-        gt_len = max(len(project_ground_truth(gt).pitch_tokens), 1)
+        pred_len = len(pred_seq.pitch_tokens)
+        gt_len = max(len(gt_seq.pitch_tokens), 1)
         if pred_len > length_cap * gt_len:
             return TaskResult(
                 sample_id=sample_id, task=Task.AST, valid=False,
@@ -266,8 +262,8 @@ def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
                 diagnostics=diagnostics + (
                     f"excluded: {pred_len} pitch tokens against {gt_len} "
                     f"reference (cap {length_cap}x)",))
-    return _conversion_result(sample_id, Task.AST, gt, doc, fmt,
-                              verdict.legal, weights, grid, diagnostics)
+    return _conversion_result(sample_id, Task.AST, gt, doc, gt_seq, pred_seq,
+                              fmt, verdict.legal, weights, grid, diagnostics)
 
 
 def smg_rules(doc: ScoreDoc,
@@ -344,15 +340,7 @@ class CapabilityWeights:
 
     @classmethod
     def parse(cls, text: str) -> "CapabilityWeights":
-        parts = text.split(",")
-        if len(parts) != 4:
-            raise ConfigError(
-                f"task weights must be four comma-separated numbers, got {text!r}")
-        try:
-            values = [Fraction(part.strip()) for part in parts]
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"malformed task weights {text!r}") from None
-        return cls(*values)
+        return cls(*parse_numbers(text, 4, "task weights"))
 
     def for_task(self, task: Task) -> Fraction:
         return {Task.VSU: self.vsu, Task.CNC: self.cnc,

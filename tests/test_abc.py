@@ -165,8 +165,9 @@ def test_duplicate_header_rejected():
 
 def test_bad_index_field_rejected():
     with pytest.raises(ParseError) as info:
-        parse_abc("X:one\nM:4/4\nL:1/4\nK:C\nC|]\n")
+        parse_abc("T:Title\nX:one\nM:4/4\nL:1/4\nK:C\nC|]\n")
     assert info.value.rule_id == "abc.header_x"
+    assert info.value.line == 2
 
 
 def test_empty_body_rejected():
@@ -228,6 +229,7 @@ def test_overlong_unit_length_rejected():
     with pytest.raises(ParseError) as info:
         _doc("C D|]", unit="1/" + "9" * 5000)
     assert info.value.rule_id == "abc.header_unit"
+    assert info.value.line == 3
 
 
 # Cb is listed but does not parse yet; the benchmark pins that fault
@@ -238,15 +240,18 @@ def test_every_listed_key_parses(key):
     assert doc.key == KeySignature.parse(key)
 
 
-@pytest.mark.parametrize("meter", ["٣/4", "1_0/4", "+3/4", "3/４", "3 /4"])
+@pytest.mark.parametrize("meter", ["٣/4", "1_0/4", "+3/4", "3/４", "3 /4",
+                                   "5/7"])
 def test_meter_takes_ascii_digits_only(meter):
     with pytest.raises(ParseError) as err:
         _doc("C|]", meter=meter)
     assert err.value.rule_id == "abc.header_meter"
+    assert err.value.line == 2
 
 
-@pytest.mark.parametrize("unit", ["١/4", "1/٤", "1_0/4", "+1/4"])
+@pytest.mark.parametrize("unit", ["١/4", "1/٤", "1_0/4", "+1/4", "0/4"])
 def test_unit_length_takes_ascii_digits_only(unit):
     with pytest.raises(ParseError) as err:
         _doc("C|]", unit=unit)
     assert err.value.rule_id == "abc.header_unit"
+    assert err.value.line == 3

@@ -94,6 +94,45 @@ def test_score_ast(tmp_path, capsys):
     assert doc["acc_pitch"]["value"] == 1.0
 
 
+# One sample of each task: (format, ground-truth file, its text,
+# prediction file, its text, manifest fields). The prediction's stem is
+# the id that `score` gives a vsu or smg sample, and the ground truth's id
+# the one it gives cnc and ast.
+_ONE_OF_EACH = {
+    "vsu": ("staff", "answer.txt", "b", "vsu-1.txt", "It is (B).",
+            {"answer": "b"}),
+    "cnc": ("staff", "cnc.json", json.dumps(SCALE_GT), "cnc-1.abc",
+            SCALE_ABC.replace("B c|]", "B B"), {"gt_path": "cnc.json"}),
+    "ast": ("jianpu", "ast.json", json.dumps(dict(SCALE_GT, id="ast-1")),
+            "ast-1.txt", "1=D 4/4\n1 2 3 4 | 5 6 7 |\n",
+            {"gt_path": "ast.json"}),
+    "smg": ("tab", "decl.json", json.dumps({"key": "G", "meter": "3/4"}),
+            "smg-1.tab", "e|--|\nB|--|\nG|--|\nD|--|\nA|--|\nE|0-|\n",
+            {"declared_key": "G", "declared_meter": "3/4"}),
+}
+
+
+@pytest.mark.parametrize("task", sorted(_ONE_OF_EACH))
+def test_score_prints_the_batch_entry_of_the_same_sample(tmp_path, capsys,
+                                                         task):
+    fmt, gt_name, gt_text, pred_name, pred_text, fields = _ONE_OF_EACH[task]
+    gt = _write(tmp_path / gt_name, gt_text)
+    pred = _write(tmp_path / pred_name, pred_text)
+    assert main(["score", "--task", task, "--format", fmt,
+                 "--gt", gt, "--pred", pred]) == 0
+    scored = _out_json(capsys)
+    manifest = _write(tmp_path / "m.jsonl", json.dumps(
+        {"id": Path(pred_name).stem, "task": task, "format": fmt,
+         "pred_path": pred_name, **fields}) + "\n")
+    out = tmp_path / "report.json"
+    assert main(["batch", "--manifest", manifest, "--out", str(out)]) == 0
+    capsys.readouterr()
+    [entry] = json.loads(out.read_text(encoding="utf-8"))["per_sample"]
+    for key in ("format", "aesthetic", "fingering"):
+        del entry[key]
+    assert scored == entry
+
+
 def test_score_missing_prediction_is_usage_error(tmp_path, capsys):
     gt = _write(tmp_path / "gt.json", json.dumps(SCALE_GT))
     code = main(["score", "--task", "cnc", "--format", "staff",

@@ -351,7 +351,7 @@ def test_invalid_results_excluded_from_means(tmp_path):
         {"id": "a2", "task": "ast", "format": "staff",
          "pred_path": "pred_good.abc", "gt_path": "gt.json"},
     ])
-    config = EvalConfig(ast_length_cap=Fraction(4))
+    config = EvalConfig(ast_length_cap=4)
     report = run_batch(load_manifest(manifest), config)
     assert report.task_means()[Task.AST] == 1
     doc = report.to_json_dict()
@@ -400,6 +400,22 @@ def test_eval_config_validation():
         EvalConfig(grid=Fraction(0))
     with pytest.raises(ConfigError):
         EvalConfig(ast_length_cap=Fraction(1, 2))
+
+
+@pytest.mark.parametrize("field,value,message", [
+    ("cnc_lenient", "no", "cnc_lenient must be a boolean"),
+    ("cnc_lenient", 1, "cnc_lenient must be a boolean"),
+    ("ast_length_cap", True, "ast_length_cap must be an integer"),
+    ("ast_length_cap", 2.5, "ast_length_cap must be an integer"),
+    ("ast_length_cap", Fraction(4), "ast_length_cap must be an integer"),
+], ids=["lenient_str", "lenient_int", "cap_bool", "cap_float", "cap_fraction"])
+def test_eval_config_checks_field_types(field, value, message):
+    """Python callers get the checks the config file gets: a truthy
+    string would turn lenient scoring on, and a Fraction cap would crash
+    write_report after the whole batch was scored."""
+    with pytest.raises(ConfigError) as err:
+        EvalConfig(**{field: value})
+    assert str(err.value) == message
 
 
 def test_capability_by_format_pools_convertible_tasks(tmp_path):

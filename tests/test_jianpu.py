@@ -148,7 +148,7 @@ def test_every_listed_key_parses(key):
     assert doc.key == KeySignature.parse(key)
 
 
-@pytest.mark.parametrize("tonic", ["Fb", "E#", "B#"])
+@pytest.mark.parametrize("tonic", ["Fb", "E#", "B#", "H"])
 def test_unknown_tonic_is_a_key_directive_error(tonic):
     with pytest.raises(ParseError) as err:
         parse_jianpu(f"\n\n1={tonic} 4/4\n1 2 3 4 |\n")
@@ -157,8 +157,9 @@ def test_unknown_tonic_is_a_key_directive_error(tonic):
 
 
 @pytest.mark.parametrize("directive", ["1=C ٣/4", "1=C 3/٤", "1=C 1_0/4",
-                                       "1=C +3/4"])
+                                       "1=C +3/4", "1=C 3/5"])
 def test_directive_meter_takes_ascii_digits_only(directive):
     with pytest.raises(ParseError) as err:
         _doc("1 2 3 |", directive=directive)
     assert err.value.rule_id == "jianpu.key_directive"
+    assert err.value.line == 1

@@ -346,6 +346,24 @@ def test_each_prediction_is_parsed_once(parse_calls, task, fmt, text, kwargs):
                             TAB: "parse_ascii_tab"}[fmt]]
 
 
+@pytest.mark.parametrize("prediction,valid", [
+    (SCALE_ABC, True),
+    (SCALE_ABC.replace("|]", "|" + "C D E F|" * 20 + "]"), False),
+], ids=["scored", "excluded"])
+def test_score_ast_projects_each_stream_once(monkeypatch, prediction, valid):
+    """The length cap and the score use the same two projections."""
+    calls = []
+    for name in ("project", "project_ground_truth"):
+        def counted(*args, _original=getattr(tasks, name), _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(tasks, name, counted)
+    result = score_ast("s", SCALE_GT, prediction, STAFF, length_cap=10)
+    assert result.valid is valid
+    assert sorted(calls) == ["project", "project_ground_truth"]
+
+
 @pytest.mark.parametrize("score,diagnostics", [
     (lambda: score_cnc("s", SCALE_GT, BAD_ABC, STAFF),
      ("abc.parse: unexpected character '?'",)),

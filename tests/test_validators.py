@@ -120,6 +120,23 @@ def test_verdict_carries_the_parsed_document(fmt, text):
     assert verdict.doc == parse_document(fmt, text)
 
 
+@pytest.mark.parametrize("fmt,text,rule_id,message,line", [
+    (STAFF, "X:1\nM:5/7\nL:1/4\nK:C\nC|]\n", "abc.header_meter",
+     "meter denominator 7 must be one of (1, 2, 4, 8, 16, 32)", 2),
+    (STAFF, "X:1\nM:4/4\n\nL:0/4\nK:C\nC|]\n", "abc.header_unit",
+     "malformed L: field '0/4'", 4),
+    (STAFF, "T:Title\nX:a\nM:4/4\nL:1/4\nK:C\nC|]\n", "abc.header_x",
+     "X: field must be a number", 2),
+    (JIANPU, "\n1=H\n1 2 3 4 |\n", "jianpu.key_directive",
+     "malformed key directive '1=H'; expected 1=<tonic> [N/D]", 2),
+    (JIANPU, "1=C 3/5\n1 2 3 |\n", "jianpu.key_directive",
+     "meter denominator 5 must be one of (1, 2, 4, 8, 16, 32)", 1),
+], ids=["meter", "unit", "index", "directive", "directive_meter"])
+def test_header_errors_carry_their_line(fmt, text, rule_id, message, line):
+    verdict = validate_format(fmt, text)
+    assert verdict.violations == (Violation(rule_id, message, line),)
+
+
 @pytest.mark.parametrize("text,tuning,rule_id", [
     (GOOD_TAB.replace("G|------", "G|----25"), STANDARD_TUNING,
      "tab.fret_range"),
