@@ -15,7 +15,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from .errors import ConfigError, ParseError, PitchError, SchemaError
-from .metrics import MetricWeights
+from .metrics import MetricWeights, require_exact
 from .parsers import load_ground_truth
 from .pitch import STANDARD_TUNING, KeySignature, Tuning
 from .projection import DEFAULT_GRID, beats_text
@@ -47,6 +47,7 @@ class EvalConfig:
     ast_length_cap: int | None = None
 
     def __post_init__(self) -> None:
+        require_exact("grid", self.grid)
         if self.grid <= 0:
             raise ConfigError(f"grid must be positive, got {self.grid}")
         if not isinstance(self.cnc_lenient, bool):

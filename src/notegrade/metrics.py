@@ -14,23 +14,36 @@ from .errors import ConfigError
 
 
 def edit_distance(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
-    """Levenshtein distance with unit insert, delete, and substitute costs."""
+    """Levenshtein distance with unit insert, delete, and substitute costs.
+
+    Myers' bit-vector algorithm in Hyyro's global form: a bit per token
+    of the longer sequence, a step per token of the shorter. Bit i of
+    ``vp`` (``vn``) is set when the distance rises (falls) at row i.
+    """
     if len(a) < len(b):
         a, b = b, a
     if not b:
         return len(a)
-    previous = list(range(len(b) + 1))
-    for i, item_a in enumerate(a, start=1):
-        current = [i] + [0] * len(b)
-        for j, item_b in enumerate(b, start=1):
-            cost = 0 if item_a == item_b else 1
-            current[j] = min(
-                previous[j] + 1,
-                current[j - 1] + 1,
-                previous[j - 1] + cost,
-            )
-        previous = current
-    return previous[-1]
+    masks: dict[Hashable, int] = {}
+    for i, token in enumerate(a):
+        masks[token] = masks.get(token, 0) | 1 << i
+    ones, top = (1 << len(a)) - 1, 1 << (len(a) - 1)
+    vp, vn, distance = ones, 0, len(a)
+    for token in b:
+        eq = masks.get(token, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | (~(xh | vp) & ones)
+        hn = vp & xh
+        if hp & top:
+            distance += 1
+        elif hn & top:
+            distance -= 1
+        hp = hp << 1 | 1
+        hn <<= 1
+        vp = ~(xv | hp) & ones | hn
+        vn = hp & xv
+    return distance
 
 
 @dataclass(frozen=True)
@@ -60,6 +73,13 @@ def alignment_accuracy(gt: Sequence[Hashable],
     return AccuracyScore(value, distance, len(gt), len(pred))
 
 
+def require_exact(what: str, value: object) -> None:
+    """A ConfigError unless ``value`` is an int or a Fraction (not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ConfigError(
+            f"{what} must be an int or a Fraction, got {value!r}")
+
+
 def parse_numbers(text: str, count: int, what: str) -> list[Fraction]:
     """Exactly ``count`` comma-separated exact numbers, or a ConfigError."""
     parts = text.split(",")
@@ -85,6 +105,7 @@ class MetricWeights:
         for name, value in (("pitch", self.pitch),
                             ("duration", self.duration),
                             ("format", self.format)):
+            require_exact(f"{name} weight", value)
             if value < 0:
                 raise ConfigError(f"{name} weight must be >= 0, got {value}")
         total = self.pitch + self.duration + self.format
@@ -104,11 +125,7 @@ class MetricWeights:
         return MetricWeights(self.pitch / rest, Fraction(0), self.format / rest)
 
     def to_json_dict(self) -> dict:
-        return {
-            "pitch": float(self.pitch),
-            "duration": float(self.duration),
-            "format": float(self.format),
-        }
+        return {name: float(value) for name, value in vars(self).items()}
 
 
 def hybrid_score(acc_pitch: Fraction, acc_duration: Fraction | None,

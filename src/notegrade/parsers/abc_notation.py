@@ -10,13 +10,12 @@ through the measure.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 from ..errors import ParseError, PitchError
 from ..pitch import LETTER_SEMITONES, KeySignature, check_midi, sort_chord
 from ..score import (Event, Measure, NotationFormat, ScoreDoc,
-                     TimeSignature, Violation)
+                     TimeSignature, Violation, beats_to_ticks)
 
 # Circle-of-fifths signature sizes for the standard major keys; positive
 # counts are sharps, negative are flats.
@@ -35,7 +34,10 @@ _REQUIRED_HEADERS = (
     ("K", "abc.header_key", "K: (key)"),
 )
 _UNIT_RE = re.compile(r"([0-9]+)/([0-9]+)")
-_DIGITS = "0123456789"
+_PITCH_RE = re.compile(r"([\^_=]?)([A-Ga-g])([',]*)")
+_LENGTH_RE = re.compile(r"([0-9]*)(/*)([0-9]*)")
+_NOTE_RE = re.compile(_PITCH_RE.pattern + _LENGTH_RE.pattern)
+_ACCIDENTALS = {"^": 1, "_": -1, "=": 0}
 
 
 def _number(digits: str, **where) -> int:
@@ -121,20 +123,21 @@ def parse_meter_field(value: str, line: int | None = None) -> TimeSignature:
 
 def default_unit_length(meter: TimeSignature) -> Fraction:
     """The ABC default: 1/16 below a 3/4 meter ratio, 1/8 at or above it."""
-    if Fraction(meter.numerator, meter.denominator) < Fraction(3, 4):
-        return Fraction(1, 16)
-    return Fraction(1, 8)
+    below = 4 * meter.numerator < 3 * meter.denominator
+    return Fraction(1, 16) if below else Fraction(1, 8)
 
 
 class _BodyParser:
     def __init__(self, body: list[tuple[int, str]], key_name: str,
-                 unit_beats: Fraction):
+                 unit: Fraction):
         self._body = body
         self._key_shift = key_signature_accidentals(key_name)
-        self._unit_beats = unit_beats
+        self._unit_beats = (unit.numerator * 4, unit.denominator)
+        # The pitches and ticks of each distinct note token.
+        self._notes: dict[str, tuple[tuple[int], int]] = {}
         self._measures: list[Measure] = []
         self._pending: list[Event] = []
-        self._onset = Fraction(0)
+        self._onset = 0
         self._last_was_event = False
         self._last_was_bar = False
         self._finished = False
@@ -200,12 +203,11 @@ class _BodyParser:
             return
         self._measures.append(Measure(tuple(self._pending)))
         self._pending = []
-        self._onset = Fraction(0)
+        self._onset = 0
 
-    def _emit(self, pitches: tuple[int, ...], multiplier: Fraction) -> None:
-        duration = self._unit_beats * multiplier
-        self._pending.append(Event(self._onset, duration, pitches))
-        self._onset += duration
+    def _emit(self, pitches: tuple[int, ...], ticks: int) -> None:
+        self._pending.append(Event.trusted(self._onset, ticks, pitches))
+        self._onset += ticks
         self._last_was_event = True
         self._last_was_bar = False
 
@@ -219,19 +221,25 @@ class _BodyParser:
             raise ParseError(
                 "rests cannot be tied", line=line_no, column=i + 1,
                 rule_id="abc.parse")
-        self._pending[-1] = replace(last, tied=True)
+        self._pending[-1] = Event.trusted(
+            last.onset_ticks, last.duration_ticks, last.pitches, True)
         self._last_was_event = False
 
     def _scan_rest(self, line_no: int, text: str, i: int) -> int:
-        multiplier, i = self._scan_duration(line_no, text, i + 1)
-        self._emit((), multiplier)
-        return i
+        ticks, end = self._scan_duration(line_no, text, i + 1, i + 1)
+        self._emit((), ticks)
+        return end
 
     def _scan_note(self, line_no: int, text: str, i: int) -> int:
-        midi, i = self._scan_pitch(line_no, text, i)
-        multiplier, i = self._scan_duration(line_no, text, i)
-        self._emit((midi,), multiplier)
-        return i
+        # No match only for an accidental without a letter: _scan_pitch raises.
+        match = _NOTE_RE.match(text, i)
+        token = match[0] if match else ""
+        if token not in self._notes:
+            midi, end = self._scan_pitch(line_no, text, i)
+            ticks, end = self._scan_duration(line_no, text, end, i + 1)
+            self._notes[token] = ((midi,), ticks)
+        self._emit(*self._notes[token])
+        return i + len(token)
 
     def _scan_chord(self, line_no: int, text: str, i: int) -> int:
         column = i + 1
@@ -246,7 +254,7 @@ class _BodyParser:
             if ch == "]":
                 i += 1
                 break
-            if ch in _DIGITS or ch == "/":
+            if ch in "0123456789/":
                 raise ParseError(
                     "chord notes cannot carry their own durations",
                     line=line_no, column=i + 1, rule_id="abc.parse")
@@ -259,70 +267,46 @@ class _BodyParser:
         if not pitches:
             raise ParseError(
                 "empty chord", line=line_no, column=column, rule_id="abc.parse")
-        multiplier, i = self._scan_duration(line_no, text, i)
-        self._emit(tuple(sort_chord(pitches)), multiplier)
+        ticks, i = self._scan_duration(line_no, text, i, column)
+        self._emit(tuple(sort_chord(pitches)), ticks)
         return i
 
     def _scan_pitch(self, line_no: int, text: str, i: int) -> tuple[int, int]:
-        column = i + 1
-        accidental: str | None = None
-        if text[i] in "^_=":
-            accidental = text[i]
-            i += 1
-            if i >= len(text) or text[i].upper() not in LETTER_SEMITONES:
-                raise ParseError(
-                    "accidental must be followed by a note letter",
-                    line=line_no, column=column, rule_id="abc.parse")
-        letter = text[i]
-        i += 1
-        base = 72 if letter.islower() else 60
-        semitones = base + LETTER_SEMITONES[letter.upper()]
-        while i < len(text) and text[i] in "',":
-            semitones += 12 if text[i] == "'" else -12
-            i += 1
-        if accidental == "^":
-            semitones += 1
-        elif accidental == "_":
-            semitones -= 1
-        elif accidental is None:
-            semitones += self._key_shift.get(letter.upper(), 0)
+        match = _PITCH_RE.match(text, i)
+        if not match:
+            raise ParseError(
+                "accidental must be followed by a note letter",
+                line=line_no, column=i + 1, rule_id="abc.parse")
+        accidental, letter, marks = match.groups()
+        semitones = ((72 if letter.islower() else 60)
+                     + LETTER_SEMITONES[letter.upper()]
+                     + 12 * (marks.count("'") - marks.count(","))
+                     + (_ACCIDENTALS[accidental] if accidental
+                        else self._key_shift.get(letter.upper(), 0)))
         try:
-            return check_midi(semitones), i
+            return check_midi(semitones), match.end()
         except PitchError as exc:
             raise ParseError(
-                str(exc), line=line_no, column=column,
+                str(exc), line=line_no, column=i + 1,
                 rule_id="abc.pitch_range") from None
 
-    def _scan_duration(self, line_no: int, text: str, i: int) -> tuple[Fraction, int]:
-        column = i + 1
-        start = i
-        while i < len(text) and text[i] in _DIGITS:
-            i += 1
-        where = {"line": line_no, "column": column, "rule_id": "abc.parse"}
-        numerator = _number(text[start:i], **where) if i > start else 1
-        slashes = 0
-        while i < len(text) and text[i] == "/":
-            slashes += 1
-            i += 1
-        if slashes == 0:
-            denominator = 1
-        else:
-            start = i
-            while i < len(text) and text[i] in _DIGITS:
-                i += 1
-            if i > start:
-                if slashes > 1:
-                    raise ParseError(
-                        "malformed duration", line=line_no, column=column,
-                        rule_id="abc.parse")
-                denominator = _number(text[start:i], **where)
-            else:
-                denominator = 2 ** slashes
+    def _scan_duration(self, line_no: int, text: str, i: int,
+                       event_column: int) -> tuple[int, int]:
+        """The duration in ticks of the event at ``event_column`` whose
+        length multiplier starts at ``i``, and the index after it."""
+        match = _LENGTH_RE.match(text, i)
+        digits, slashes, below = match.groups()
+        where = {"line": line_no, "column": i + 1, "rule_id": "abc.parse"}
+        numerator = _number(digits, **where) if digits else 1
+        if below and len(slashes) > 1:
+            raise ParseError("malformed duration", **where)
+        denominator = _number(below, **where) if below else 2 ** len(slashes)
         if numerator == 0 or denominator == 0:
-            raise ParseError(
-                "duration must be positive", line=line_no, column=column,
-                rule_id="abc.parse")
-        return Fraction(numerator, denominator), i
+            raise ParseError("duration must be positive", **where)
+        unit_num, unit_den = self._unit_beats
+        return beats_to_ticks(
+            unit_num * numerator, unit_den * denominator, line=line_no,
+            column=event_column, rule_id="abc.duration_resolution"), match.end()
 
 
 def parse_abc(text: str,
@@ -356,8 +340,7 @@ def parse_abc(text: str,
         unit = Fraction(num, den)
     else:
         unit = default_unit_length(meter)
-    unit_beats = unit * 4
-    measures, final_barline = _BodyParser(body, key_name, unit_beats).run()
+    measures, final_barline = _BodyParser(body, key_name, unit).run()
     return ScoreDoc(
         format=NotationFormat.ABC_STAFF,
         key=key,

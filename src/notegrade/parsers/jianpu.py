@@ -6,7 +6,7 @@ meter defaulting to 4/4. Music tokens follow, whitespace separated:
 - ``1``-``7``: one scale degree lasting one beat
 - ``0``: a one-beat rest
 - trailing ``'`` or ``,`` marks shift a degree up or down an octave each
-- each trailing ``_`` halves the token's duration
+- each trailing ``_`` halves the token's duration, at most 12 times
 - ``-`` continues the previous note or rest for one more beat
 - ``|`` closes a measure
 
@@ -18,16 +18,15 @@ measure it spans.
 from __future__ import annotations
 
 import re
-from dataclasses import replace
-from fractions import Fraction
 
 from ..errors import ParseError, PitchError
 from ..pitch import JianpuNote, KeySignature, jianpu_to_midi
-from ..score import (Event, Measure, NotationFormat, ScoreDoc,
-                     TimeSignature, Violation)
+from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat,
+                     ScoreDoc, TimeSignature, Violation, beats_to_ticks)
 
 _DIRECTIVE_RE = re.compile(r"1=([A-G][#b]?)(?:\s+([0-9]+/[0-9]+))?")
 _TOKEN_RE = re.compile(r"^([0-7])('+|,+)?(_+)?$")
+_WORD_RE = re.compile(r"\S+")
 
 
 def parse_key_directive(line: str,
@@ -50,11 +49,40 @@ def parse_key_directive(line: str,
 
 def _split_tokens(lines: list[tuple[int, str]]):
     for line_no, text in lines:
-        column = 1
-        for chunk in re.split(r"(\s+)", text):
-            if chunk and not chunk.isspace():
-                yield line_no, column, chunk
-            column += len(chunk)
+        for match in _WORD_RE.finditer(text):
+            yield line_no, match.start() + 1, match[0]
+
+
+def _resolve_token(token: str, key: KeySignature, line_no: int,
+                   column: int) -> tuple[int, tuple[int, ...]]:
+    """The duration in ticks and the pitches of a note or rest token."""
+    match = _TOKEN_RE.match(token)
+    if not match:
+        if re.match(r"^[89]", token):
+            raise ParseError(
+                f"scale degree out of range in {token!r}", line=line_no,
+                column=column, rule_id="jianpu.degree_range")
+        raise ParseError(
+            f"unexpected token {token!r}", line=line_no, column=column,
+            rule_id="jianpu.parse")
+    degree = int(match.group(1))
+    marks = match.group(2) or ""
+    octave_mod = marks.count("'") - marks.count(",")
+    if degree == 0 and octave_mod:
+        raise ParseError(
+            "rests cannot carry octave marks", line=line_no, column=column,
+            rule_id="jianpu.parse")
+    duration = beats_to_ticks(
+        1, 2 ** len(match.group(3) or ""), line=line_no, column=column,
+        rule_id="jianpu.duration_resolution")
+    if degree == 0:
+        return duration, ()
+    try:
+        return duration, (jianpu_to_midi(JianpuNote(degree, octave_mod), key),)
+    except PitchError as exc:
+        raise ParseError(
+            str(exc), line=line_no, column=column,
+            rule_id="jianpu.pitch_range") from None
 
 
 def parse_jianpu(text: str,
@@ -68,11 +96,8 @@ def parse_jianpu(text: str,
     to ``violations`` when it is given.
     """
     lines = list(enumerate(text.splitlines(), start=1))
-    directive_idx = None
-    for idx, (_, raw) in enumerate(lines):
-        if raw.strip():
-            directive_idx = idx
-            break
+    directive_idx = next(
+        (idx for idx, (_, raw) in enumerate(lines) if raw.strip()), None)
     if directive_idx is None:
         raise ParseError("missing key directive", rule_id="jianpu.key_directive")
     if violations is not None:
@@ -88,70 +113,38 @@ def parse_jianpu(text: str,
 
     closed: list[list[Event]] = []
     pending: list[Event] = []
-    onset = Fraction(0)
+    onset = 0
     last_was_bar = False
-
-    def mark_previous_tied() -> tuple[int, ...] | None:
-        if pending:
-            pending[-1] = replace(pending[-1], tied=True)
-            return pending[-1].pitches
-        if closed:
-            closed[-1][-1] = replace(closed[-1][-1], tied=True)
-            return closed[-1][-1].pitches
-        return None
-
+    # Duration in ticks and pitches of each distinct note or rest token.
+    resolved: dict[str, tuple[int, tuple[int, ...]]] = {}
     for line_no, column, token in _split_tokens(lines[directive_idx + 1:]):
         if token == "|":
-            if not pending:
-                if closed or last_was_bar:
-                    raise ParseError(
-                        "empty measure", line=line_no, column=column,
-                        rule_id="jianpu.measure_bars")
-                last_was_bar = True
-                continue
-            closed.append(pending)
-            pending = []
-            onset = Fraction(0)
+            if pending:
+                closed.append(pending)
+                pending, onset = [], 0
+            elif closed or last_was_bar:
+                raise ParseError(
+                    "empty measure", line=line_no, column=column,
+                    rule_id="jianpu.measure_bars")
             last_was_bar = True
             continue
         last_was_bar = False
         if token == "-":
-            pitches = mark_previous_tied()
-            if pitches is None:
+            # Hold the previous event one beat more, across a barline too.
+            events = pending or (closed[-1] if closed else None)
+            if not events:
                 raise ParseError(
                     "dash has no note to continue", line=line_no, column=column,
                     rule_id="jianpu.parse")
-            pending.append(Event(onset, Fraction(1), pitches))
-            onset += Fraction(1)
-            continue
-        match = _TOKEN_RE.match(token)
-        if not match:
-            if re.match(r"^[89]", token):
-                raise ParseError(
-                    f"scale degree out of range in {token!r}", line=line_no,
-                    column=column, rule_id="jianpu.degree_range")
-            raise ParseError(
-                f"unexpected token {token!r}", line=line_no, column=column,
-                rule_id="jianpu.parse")
-        degree = int(match.group(1))
-        marks = match.group(2) or ""
-        octave_mod = marks.count("'") - marks.count(",")
-        if degree == 0 and octave_mod:
-            raise ParseError(
-                "rests cannot carry octave marks", line=line_no, column=column,
-                rule_id="jianpu.parse")
-        duration = Fraction(1, 2 ** len(match.group(3) or ""))
-        if degree == 0:
-            pitches = ()
+            last = events[-1]
+            events[-1] = Event.trusted(
+                last.onset_ticks, last.duration_ticks, last.pitches, True)
+            duration, pitches = TICKS_PER_BEAT, last.pitches
         else:
-            try:
-                midi = jianpu_to_midi(JianpuNote(degree, octave_mod), key)
-            except PitchError as exc:
-                raise ParseError(
-                    str(exc), line=line_no, column=column,
-                    rule_id="jianpu.pitch_range") from None
-            pitches = (midi,)
-        pending.append(Event(onset, duration, pitches))
+            if token not in resolved:
+                resolved[token] = _resolve_token(token, key, line_no, column)
+            duration, pitches = resolved[token]
+        pending.append(Event.trusted(onset, duration, pitches))
         onset += duration
 
     if pending:

@@ -11,7 +11,7 @@ key and meter default to C and 4/4.
 
 from __future__ import annotations
 
-from fractions import Fraction
+import re
 
 from ..errors import ParseError, PitchError
 from ..pitch import (
@@ -23,12 +23,14 @@ from ..pitch import (
     sort_chord,
     tab_to_midi,
 )
-from ..score import Event, Measure, NotationFormat, ScoreDoc, TimeSignature
+from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat, ScoreDoc,
+                     TimeSignature)
 
 STRING_LABELS = ("e|", "B|", "G|", "D|", "A|", "E|")
 
-_DIGITS = "0123456789"
-_BODY_CHARS = _DIGITS + "-|"
+_BAD_CHAR_RE = re.compile(r"[^0-9|-]")
+_BAR_RE = re.compile(r"\|")
+_RUN_RE = re.compile(r"[0-9]+")
 
 
 def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
@@ -58,13 +60,13 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
         raise ParseError("tablature body is empty", rule_id="tab.parse")
 
     for (line_no, _), body in zip(non_blank, bodies):
-        for col, ch in enumerate(body):
-            if ch not in _BODY_CHARS:
-                raise ParseError(
-                    f"character {ch!r} not allowed in tablature", line=line_no,
-                    column=col + 3, rule_id="tab.charset")
+        bad = _BAD_CHAR_RE.search(body)
+        if bad:
+            raise ParseError(
+                f"character {bad[0]!r} not allowed in tablature", line=line_no,
+                column=bad.start() + 3, rule_id="tab.charset")
 
-    bar_cols = [c for c in range(width) if any(b[c] == "|" for b in bodies)]
+    bar_cols = sorted({m.start() for b in bodies for m in _BAR_RE.finditer(b)})
     for col in bar_cols:
         if not all(b[col] == "|" for b in bodies):
             raise ParseError(
@@ -76,21 +78,14 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
     runs: list[tuple[int, int, int]] = []
     for string_idx, body in enumerate(bodies):
         line_no = non_blank[string_idx][0]
-        col = 0
-        while col < width:
-            if body[col] in _DIGITS:
-                start = col
-                while col < width and body[col] in _DIGITS:
-                    col += 1
-                # Compare lengths first: int() refuses very long digit runs.
-                fret = body[start:col].lstrip("0") or "0"
-                if len(fret) > len(str(FRET_MAX)) or int(fret) > FRET_MAX:
-                    raise ParseError(
-                        f"fret {fret} above {FRET_MAX}", line=line_no,
-                        column=start + 3, rule_id="tab.fret_range")
-                runs.append((start, string_idx + 1, int(fret)))
-            else:
-                col += 1
+        for run in _RUN_RE.finditer(body):
+            # Compare lengths first: int() refuses very long digit runs.
+            fret = run[0].lstrip("0") or "0"
+            if len(fret) > len(str(FRET_MAX)) or int(fret) > FRET_MAX:
+                raise ParseError(
+                    f"fret {fret} above {FRET_MAX}", line=line_no,
+                    column=run.start() + 3, rule_id="tab.fret_range")
+            runs.append((run.start(), string_idx + 1, int(fret)))
 
     # One sweep over the runs in column order, cut at the barlines. Each
     # segment between barlines is a measure, even a silent one; the
@@ -111,7 +106,8 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
                     rule_id="tab.pitch_range") from None
             frames.setdefault(col, []).append(midi)
         events = tuple(
-            Event(Fraction(beat), Fraction(1), tuple(sort_chord(frame)))
+            Event.trusted(beat * TICKS_PER_BEAT, TICKS_PER_BEAT,
+                          tuple(sort_chord(frame)))
             for beat, frame in enumerate(frames.values()))
         if events or lo < hi < width:
             measures.append(Measure(events))

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import ConfigError
-from .score import GroundTruth, ScoreDoc
+from .metrics import require_exact
+from .score import TICKS_PER_BEAT, GroundTruth, ScoreDoc
 
 DEFAULT_GRID = Fraction(1, 4)
 
@@ -28,13 +29,14 @@ def project(doc: ScoreDoc) -> CanonicalSequence:
     units: list[list] = []
     for event in doc.events():
         if units and units[-1][2] and units[-1][0] == event.pitches:
-            units[-1][1] += event.duration_beats
+            units[-1][1] += event.duration_ticks
             units[-1][2] = event.tied
         else:
-            units.append([event.pitches, event.duration_beats, event.tied])
+            units.append([event.pitches, event.duration_ticks, event.tied])
+    beats = {t: Fraction(t, TICKS_PER_BEAT) for t in {t for _, t, _ in units}}
     return CanonicalSequence(
         pitch_tokens=tuple(pitches for pitches, _, _ in units if pitches),
-        durations=tuple(duration for _, duration, _ in units),
+        durations=tuple(beats[ticks] for _, ticks, _ in units),
     )
 
 
@@ -50,15 +52,20 @@ def quantize_duration(duration: Fraction, grid: Fraction) -> Fraction:
 
     Exact midpoints round up: 3/8 on a 1/4 grid becomes 1/2.
     """
+    require_exact("quantization grid", grid)
     if grid <= 0:
         raise ConfigError(f"quantization grid must be positive, got {grid}")
-    steps = (duration / grid + Fraction(1, 2)).__floor__()
+    n, d = duration.numerator, duration.denominator
+    g_n, g_d = grid.numerator, grid.denominator
+    # floor(n/d / (g_n/g_d) + 1/2), in integers.
+    steps = (2 * n * g_d + d * g_n) // (2 * d * g_n)
     return max(steps, 1) * grid
 
 
 def quantize_durations(durations: tuple[Fraction, ...],
                        grid: Fraction = DEFAULT_GRID) -> tuple[Fraction, ...]:
-    return tuple(quantize_duration(d, grid) for d in durations)
+    snapped = {d: quantize_duration(d, grid) for d in set(durations)}
+    return tuple(snapped[d] for d in durations)
 
 
 def beats_text(value: Fraction) -> str:

@@ -1,20 +1,35 @@
 """Parsed-document model shared by all notation parsers.
 
-Durations and onsets are exact rationals measured in quarter-note beats:
-a 4/4 measure holds 4 beats, a 6/8 measure holds 3.
+Durations and onsets are whole ticks, ``TICKS_PER_BEAT`` to the
+quarter-note beat: a 4/4 measure holds 4 beats, a 6/8 measure holds 3.
+They read back as exact ``Fraction`` beats through properties.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from .errors import ParseError, PitchError
 from .pitch import KeySignature, check_midi
 
 _METER_RE = re.compile(r"([0-9]+)/([0-9]+)")
+
+# A power of two divisible by 8, so every meter's capacity (at most
+# 32nd-note denominators) is a whole number of ticks.
+TICKS_PER_BEAT = 4096
+
+
+def beats_to_ticks(numerator: int, denominator: int, **where) -> int:
+    """``numerator/denominator`` beats in ticks, or a ParseError at
+    ``where`` (line, column, rule id) if that is not a whole number."""
+    ticks, rest = divmod(numerator * TICKS_PER_BEAT, denominator)
+    if rest:
+        raise ParseError(
+            f"duration is not a multiple of 1/{TICKS_PER_BEAT} beat", **where)
+    return ticks
 
 
 class NotationFormat(enum.Enum):
@@ -26,10 +41,10 @@ class NotationFormat(enum.Enum):
 
     @classmethod
     def parse(cls, value: str) -> "NotationFormat":
-        for member in cls:
-            if member.value == value:
-                return member
-        raise ParseError(f"unknown notation format {value!r}")
+        try:
+            return cls(value)
+        except ValueError:
+            raise ParseError(f"unknown notation format {value!r}") from None
 
 
 @dataclass(frozen=True)
@@ -64,50 +79,90 @@ class TimeSignature:
         return Fraction(self.numerator * 4, self.denominator)
 
     @property
+    def ticks(self) -> int:
+        return self.numerator * 4 * TICKS_PER_BEAT // self.denominator
+
+    @property
     def text(self) -> str:
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Event:
     """A timed sound or silence: empty ``pitches`` means a rest.
 
     ``tied`` marks an event joined to the next same-pitch event, to be
-    merged during projection.
+    merged during projection. ``Event(onset_beats, ...)`` checks its
+    arguments; the parsers build valid events from ticks with ``trusted``.
     """
 
-    onset_beats: Fraction
-    duration_beats: Fraction
+    onset_ticks: int
+    duration_ticks: int
     pitches: tuple[int, ...]
-    tied: bool = False
+    tied: bool
 
-    def __post_init__(self) -> None:
-        if self.onset_beats < 0:
-            raise ParseError(f"event onset {self.onset_beats} must be >= 0")
-        if self.duration_beats <= 0:
-            raise ParseError(f"event duration {self.duration_beats} must be positive")
-        for midi in self.pitches:
+    def __init__(self, onset_beats: Fraction, duration_beats: Fraction,
+                 pitches: tuple[int, ...], tied: bool = False) -> None:
+        if onset_beats < 0:
+            raise ParseError(f"event onset {onset_beats} must be >= 0")
+        if duration_beats <= 0:
+            raise ParseError(f"event duration {duration_beats} must be positive")
+        for midi in pitches:
             check_midi(midi)
-        if list(self.pitches) != sorted(set(self.pitches)):
+        if list(pitches) != sorted(set(pitches)):
             raise PitchError("event pitches must be strictly ascending")
+        onset = Fraction(onset_beats) * TICKS_PER_BEAT
+        duration = Fraction(duration_beats) * TICKS_PER_BEAT
+        if onset.denominator != 1 or duration.denominator != 1:
+            raise ParseError("event onset and duration must be multiples of "
+                             f"1/{TICKS_PER_BEAT} beat")
+        _set_event(self, onset.numerator, duration.numerator, pitches, tied)
+
+    @classmethod
+    def trusted(cls, onset_ticks: int, duration_ticks: int,
+                pitches: tuple[int, ...], tied: bool = False) -> "Event":
+        """An event the caller guarantees valid, built without checks."""
+        event = object.__new__(cls)
+        _set_event(event, onset_ticks, duration_ticks, pitches, tied)
+        return event
+
+    @property
+    def onset_beats(self) -> Fraction:
+        return Fraction(self.onset_ticks, TICKS_PER_BEAT)
+
+    @property
+    def duration_beats(self) -> Fraction:
+        return Fraction(self.duration_ticks, TICKS_PER_BEAT)
 
     @property
     def is_rest(self) -> bool:
         return not self.pitches
 
 
-@dataclass(frozen=True)
+def _set_event(event: Event, onset: int, duration: int,
+               pitches: tuple[int, ...], tied: bool) -> None:
+    object.__setattr__(event, "onset_ticks", onset)
+    object.__setattr__(event, "duration_ticks", duration)
+    object.__setattr__(event, "pitches", pitches)
+    object.__setattr__(event, "tied", tied)
+
+
+@dataclass(frozen=True, slots=True)
 class Measure:
     events: tuple[Event, ...] = ()
 
     def __post_init__(self) -> None:
-        onsets = [e.onset_beats for e in self.events]
+        onsets = [e.onset_ticks for e in self.events]
         if onsets != sorted(onsets):
             raise ParseError("event onsets within a measure must be non-decreasing")
 
     @property
+    def duration_ticks(self) -> int:
+        return sum(e.duration_ticks for e in self.events)
+
+    @property
     def duration_sum(self) -> Fraction:
-        return sum((e.duration_beats for e in self.events), Fraction(0))
+        return Fraction(self.duration_ticks, TICKS_PER_BEAT)
 
 
 @dataclass(frozen=True)
@@ -156,12 +211,7 @@ class Violation:
     column: int | None = None
 
     def to_json_dict(self) -> dict:
-        return {
-            "rule_id": self.rule_id,
-            "message": self.message,
-            "line": self.line,
-            "column": self.column,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 from .metrics import (AccuracyScore, MetricWeights, alignment_accuracy,
-                      hybrid_score, parse_numbers)
+                      hybrid_score, parse_numbers, require_exact)
 # Three parsers are unused here but kept: bench/spans.py patches them by name.
 from .parsers import (parse_abc, parse_ascii_tab, parse_document,
                       parse_jianpu, validate_format)
@@ -41,10 +41,10 @@ class Task(enum.Enum):
 
     @classmethod
     def parse(cls, value: str) -> "Task":
-        for member in cls:
-            if member.value == value:
-                return member
-        raise ConfigError(f"unknown task {value!r}")
+        try:
+            return cls(value)
+        except ValueError:
+            raise ConfigError(f"unknown task {value!r}") from None
 
 
 SMG_RULE_COUNT = 5
@@ -62,17 +62,10 @@ class SmgRuleReport:
 
     @property
     def passed(self) -> int:
-        return sum((self.renderable, self.measure_arith_ok, self.key_consistent,
-                    self.rests_legal, self.structure_ok))
+        return sum(vars(self).values())
 
     def to_json_dict(self) -> dict:
-        return {
-            "renderable": self.renderable,
-            "measure_arith_ok": self.measure_arith_ok,
-            "key_consistent": self.key_consistent,
-            "rests_legal": self.rests_legal,
-            "structure_ok": self.structure_ok,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -269,9 +262,9 @@ def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
 def smg_rules(doc: ScoreDoc,
               declared_key: KeySignature | None) -> SmgRuleReport:
     """Evaluate the five generation rules on a parsed piece."""
-    capacity = doc.meter.beats
+    capacity = doc.meter.ticks
     complete = doc.measures if doc.final_barline else doc.measures[:-1]
-    measure_arith_ok = all(m.duration_sum == capacity for m in complete)
+    measure_arith_ok = all(m.duration_ticks == capacity for m in complete)
     if doc.format is NotationFormat.ASCII_TAB or declared_key is None:
         key_consistent = True
     else:
@@ -281,7 +274,7 @@ def smg_rules(doc: ScoreDoc,
     structure_ok = (
         len(complete) >= 2
         and doc.final_barline
-        and all(e.onset_beats + e.duration_beats <= capacity
+        and all(e.onset_ticks + e.duration_ticks <= capacity
                 for e in doc.events()))
     return SmgRuleReport(
         renderable=True,
@@ -333,6 +326,8 @@ class CapabilityWeights:
 
     def __post_init__(self) -> None:
         values = (self.vsu, self.cnc, self.ast, self.smg)
+        for task, value in zip(Task, values):
+            require_exact(f"{task.value} task weight", value)
         if any(v < 0 for v in values):
             raise ConfigError("task weights must be >= 0")
         if sum(values) != 1:
@@ -343,8 +338,7 @@ class CapabilityWeights:
         return cls(*parse_numbers(text, 4, "task weights"))
 
     def for_task(self, task: Task) -> Fraction:
-        return {Task.VSU: self.vsu, Task.CNC: self.cnc,
-                Task.AST: self.ast, Task.SMG: self.smg}[task]
+        return getattr(self, task.value)
 
     def to_json_dict(self) -> dict:
         return {task.value: float(self.for_task(task)) for task in Task}

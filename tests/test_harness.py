@@ -418,6 +418,15 @@ def test_eval_config_checks_field_types(field, value, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("grid", [0.25, True, "1/4"])
+def test_eval_config_grid_must_be_exact(grid):
+    """A float grid would be accepted and then crash the report (a float
+    has no numerator) and the integer quantizer."""
+    with pytest.raises(ConfigError) as err:
+        EvalConfig(grid=grid)
+    assert str(err.value) == f"grid must be an int or a Fraction, got {grid!r}"
+
+
 def test_capability_by_format_pools_convertible_tasks(tmp_path):
     records = load_manifest(_full_fixture(tmp_path))
     doc = run_batch(records, EvalConfig()).to_json_dict()

@@ -1,4 +1,6 @@
 import itertools
+import random
+import time
 from fractions import Fraction
 from functools import lru_cache
 
@@ -26,6 +28,19 @@ def reference_edit_distance(a: str, b: str) -> int:
             return walk(i + 1, j + 1)
         return 1 + min(walk(i + 1, j), walk(i, j + 1), walk(i + 1, j + 1))
     return walk(0, 0)
+
+
+def dp_edit_distance(a, b) -> int:
+    """The O(n*m) dynamic program, row by row: the oracle for the
+    bit-vector edit_distance on sequences too long for the recursion."""
+    previous = list(range(len(b) + 1))
+    for i, item_a in enumerate(a, start=1):
+        current = [i] + [0] * len(b)
+        for j, item_b in enumerate(b, start=1):
+            current[j] = min(previous[j] + 1, current[j - 1] + 1,
+                             previous[j - 1] + (item_a != item_b))
+        previous = current
+    return previous[-1]
 
 
 @pytest.mark.parametrize("a,b,expected", [
@@ -145,3 +160,62 @@ def test_hybrid_score_without_duration_stream():
 def test_hybrid_score_stays_in_unit_interval(p, d, legal):
     value = hybrid_score(p, d, legal)
     assert 0 <= value <= 1
+
+
+# --- The bit-vector alignment against the DP, at and across the 64-bit
+# word boundaries, on the token types the scorers align.
+
+_LENGTHS = (0, 1, 63, 64, 65, 200)
+
+
+def _tuple_tokens(rng, n, alphabet):
+    return [tuple(sorted(rng.sample(range(60, 60 + alphabet),
+                                    rng.randint(1, 2))))
+            for _ in range(n)]
+
+
+def _fraction_tokens(rng, n, alphabet):
+    return [Fraction(rng.randint(1, alphabet), rng.choice((1, 2, 4, 3)))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("make", [_tuple_tokens, _fraction_tokens],
+                         ids=["tuples", "fractions"])
+@pytest.mark.parametrize("n,m", list(itertools.product(_LENGTHS, _LENGTHS)))
+def test_edit_distance_matches_the_dp(make, n, m):
+    rng = random.Random(f"{n}x{m}")
+    for alphabet in (2, 6, 30):
+        a, b = make(rng, n, alphabet), make(rng, m, alphabet)
+        expected = dp_edit_distance(a, b)
+        assert edit_distance(a, b) == expected
+        assert edit_distance(b, a) == expected
+
+
+@pytest.mark.parametrize("n,m", [(1, 2_000), (3, 700), (65, 1_000),
+                                 (200, 3)])
+def test_edit_distance_matches_the_dp_on_very_unequal_lengths(n, m):
+    rng = random.Random(n * m)
+    a = _tuple_tokens(rng, n, 4)
+    # A repeated fragment of ``a`` and noise, as a degenerate output.
+    b = (a * (m // n + 1))[:m]
+    for i in rng.sample(range(m), m // 10):
+        b[i] = _tuple_tokens(rng, 1, 8)[0]
+    assert edit_distance(a, b) == edit_distance(b, a) == dp_edit_distance(a, b)
+
+
+def test_edit_distance_on_200_by_20000_tokens_is_fast():
+    rng = random.Random(11)
+    a = _tuple_tokens(rng, 200, 12)
+    b = _tuple_tokens(rng, 20_000, 12)
+    start = time.perf_counter()
+    distance = edit_distance(a, b)
+    elapsed = time.perf_counter() - start
+    assert 19_800 <= distance <= 20_000
+    assert elapsed < 1.0, f"edit_distance took {elapsed:.2f} s"
+
+
+@pytest.mark.parametrize("weights", [
+    (0.5, 0.3, 0.2), (True, False, False), (Fraction(1, 2), 0.5, 0)])
+def test_weights_must_be_exact_numbers(weights):
+    with pytest.raises(ConfigError, match="must be an int or a Fraction"):
+        MetricWeights(*weights)

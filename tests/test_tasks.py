@@ -279,6 +279,14 @@ def test_capability_weights_validation():
     assert parsed.vsu == Fraction(2, 5)
 
 
+@pytest.mark.parametrize("weights", [
+    (0.25, 0.25, 0.25, 0.25), (True, False, False, False),
+    (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), 0.25)])
+def test_capability_weights_must_be_exact_numbers(weights):
+    with pytest.raises(ConfigError, match="task weight must be an int or a"):
+        CapabilityWeights(*weights)
+
+
 def test_aggregate_capability():
     means = {Task.VSU: Fraction(1), Task.CNC: Fraction(1, 2),
              Task.AST: Fraction(3, 4), Task.SMG: Fraction(4, 5)}

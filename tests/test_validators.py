@@ -1,4 +1,7 @@
+import random
 import re
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -350,3 +353,69 @@ def test_parsers_report_soft_violations_only_when_asked():
     violations = []
     parse_jianpu("1=C\n1 2 3 4\n", violations=violations)
     assert [v.rule_id for v in violations] == ["jianpu.measure_bars"]
+
+
+# --- Duration resolution: every duration is a whole number of ticks
+# (1/4096 beat), so hostile note lengths are rejected at once instead of
+# growing exact onsets without bound.
+
+def _first_primes(count):
+    primes, candidate = [], 2
+    while len(primes) < count:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    return primes
+
+
+def _timed_verdict(fmt, text):
+    start = time.perf_counter()
+    verdict = validate_format(fmt, text)
+    elapsed = time.perf_counter() - start
+    assert elapsed < 1.0, f"validate_format took {elapsed:.2f} s"
+    return verdict
+
+
+def test_prime_denominators_are_rejected_at_once():
+    notes = " ".join(f"C/{p}" for p in _first_primes(8_000))
+    text = "X:1\nM:4/4\nL:1/4\nK:C\n" + notes + "|]\n"
+    assert len(text) > 60_000
+    verdict = _timed_verdict(STAFF, text)
+    assert verdict.violations == (Violation(
+        "abc.duration_resolution",
+        "duration is not a multiple of 1/4096 beat", 5, 5),)
+
+
+def test_thousand_digit_denominators_are_rejected_at_once():
+    rng = random.Random(7)
+    notes = " ".join(f"C/{rng.randrange(10 ** 999, 10 ** 1000) | 1}"
+                     for _ in range(200))
+    verdict = _timed_verdict(STAFF, "X:1\nM:4/4\nL:1/4\nK:C\n" + notes + "|]\n")
+    assert [(v.rule_id, v.line, v.column) for v in verdict.violations] == [
+        ("abc.duration_resolution", 5, 1)]
+
+
+def test_thirteen_underscores_are_finer_than_a_tick():
+    verdict = _timed_verdict(JIANPU, "1=C\n1 2" + "_" * 13 + " 3 |\n")
+    assert [(v.rule_id, v.line, v.column) for v in verdict.violations] == [
+        ("jianpu.duration_resolution", 2, 3)]
+
+
+@pytest.mark.parametrize("text,column", [
+    ("X:1\nM:4/4\nL:1/3\nK:C\nC3 C|]\n", 4),    # whole beats pass, 4/3 not
+    ("X:1\nM:4/4\nL:1/4\nK:C\nC [CE]/6|]\n", 3),  # a chord is located too
+    ("X:1\nM:4/4\nL:1/4\nK:C\nC z/8192|]\n", 3),
+])
+def test_abc_durations_off_the_tick_grid(text, column):
+    verdict = validate_format(STAFF, text)
+    assert [(v.rule_id, v.line, v.column) for v in verdict.violations] == [
+        ("abc.duration_resolution", 5, column)]
+
+
+def test_the_finest_durations_still_parse():
+    doc = parse_abc("X:1\nM:4/4\nL:1/4\nK:C\nC/4096 D|]\n")
+    assert [e.duration_beats for e in doc.events()] == [
+        Fraction(1, 4096), Fraction(1)]
+    doc = parse_jianpu("1=C\n1" + "_" * 12 + " 2 |\n")
+    assert [e.duration_beats for e in doc.events()] == [
+        Fraction(1, 4096), Fraction(1)]
