@@ -24,9 +24,7 @@ def edit_distance(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
         a, b = b, a
     if not b:
         return len(a)
-    masks: dict[Hashable, int] = {}
-    for i, token in enumerate(a):
-        masks[token] = masks.get(token, 0) | 1 << i
+    masks = _token_masks(a, b)
     ones, top = (1 << len(a)) - 1, 1 << (len(a) - 1)
     vp, vn, distance = ones, 0, len(a)
     for token in b:
@@ -44,6 +42,44 @@ def edit_distance(a: Sequence[Hashable], b: Sequence[Hashable]) -> int:
         vp = ~(xv | hp) & ones | hn
         vn = hp & xv
     return distance
+
+
+def _token_masks(long: Sequence[Hashable],
+                 short: Sequence[Hashable]) -> dict[Hashable, int]:
+    """Bit masks over ``long``: bit i of a token's mask is set where
+    ``long[i]`` equals it. Each token of ``short`` found in ``long`` has
+    one; a token without one occurs nowhere in ``long``.
+
+    Up to ``_SHORT`` tokens, bit by bit. Beyond, in time linear in
+    ``len(long)`` per 255 distinct tokens: each distinct object of
+    ``long`` is hashed once, ``long`` is written backwards as one byte
+    per token (its code among the tokens sought, 0 for none), and each
+    token's mask is that row read as a base-2 numeral, with "1" where
+    its code stands and "0" elsewhere.
+    """
+    masks: dict[Hashable, int] = {}
+    if len(long) <= _SHORT:
+        for i, token in enumerate(long):
+            masks[token] = masks.get(token, 0) | 1 << i
+        return masks
+    items = list(reversed(long))  # holds each object, so its id is fixed
+    objects = dict(zip(map(id, items), items))
+    distinct = list(dict.fromkeys(short))
+    for first in range(0, len(distinct), 255):
+        code = dict(zip(distinct[first:first + 255], range(1, 256)))
+        code_of = {key: code.get(token, 0) for key, token in objects.items()}
+        row = bytes(map(code_of.__getitem__, map(id, items)))
+        for token, k in code.items():
+            masks[token] = int(row.translate(_DIGIT_TABLES[k]), 2)
+    return masks
+
+
+# Below this length setting bits one by one is cheaper than the rows of
+# bytes, whose fixed cost is some tens of dict and bytes operations; the
+# bit-by-bit build is quadratic, but only in the length of a few words.
+_SHORT = 64
+# Byte k to "1", every other byte to "0".
+_DIGIT_TABLES = [b"0" * k + b"1" + b"0" * (255 - k) for k in range(256)]
 
 
 @dataclass(frozen=True)

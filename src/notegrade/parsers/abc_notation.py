@@ -135,6 +135,8 @@ class _BodyParser:
         self._unit_beats = (unit.numerator * 4, unit.denominator)
         # The pitches and ticks of each distinct note token.
         self._notes: dict[str, tuple[tuple[int], int]] = {}
+        # The measure built from each distinct measure text (_scan_measure).
+        self._measure_of: dict[str, Measure] = {}
         self._measures: list[Measure] = []
         self._pending: list[Event] = []
         self._onset = 0
@@ -146,7 +148,7 @@ class _BodyParser:
         for line_no, text in self._body:
             self._scan_line(line_no, text)
         if self._pending:
-            self._measures.append(Measure(tuple(self._pending)))
+            self._measures.append(Measure.trusted(tuple(self._pending)))
             final_barline = False
         else:
             final_barline = self._last_was_bar
@@ -167,21 +169,48 @@ class _BodyParser:
                     rule_id="abc.parse")
             if ch == "|":
                 i = self._scan_bar(line_no, text, i)
-            elif ch == "[":
-                i = self._scan_chord(line_no, text, i)
-            elif ch == "z":
-                i = self._scan_rest(line_no, text, i)
-            elif ch == "-":
-                self._apply_tie(line_no, i)
-                i += 1
-            elif ch in "^_=" or ch.upper() in LETTER_SEMITONES:
-                i = self._scan_note(line_no, text, i)
+            elif not self._pending and (end := text.find("|", i)) != -1:
+                measure = self._scan_measure(line_no, text, i, end)
+                i = self._scan_bar(line_no, text, end, measure)
             else:
-                raise ParseError(
-                    f"unexpected character {ch!r}", line=line_no, column=i + 1,
-                    rule_id="abc.parse")
+                i = self._scan_item(line_no, text, i)
 
-    def _scan_bar(self, line_no: int, text: str, i: int) -> int:
+    def _scan_measure(self, line_no: int, text: str, i: int,
+                      end: int) -> Measure:
+        """The measure written as ``text[i:end]``, from its first event to
+        its closing barline. Every measure starts in the same state, so
+        a repeated text is scanned only once; a text that raises is not
+        kept, and a measure that spans lines is scanned item by item."""
+        key = text[i:end]
+        measure = self._measure_of.get(key)
+        if measure is None:
+            while i < end:
+                i = (i + 1 if text[i].isspace()
+                     else self._scan_item(line_no, text, i))
+            measure = Measure.trusted(tuple(self._pending))
+            self._measure_of[key] = measure
+        return measure
+
+    def _scan_item(self, line_no: int, text: str, i: int) -> int:
+        """Scan the note, rest, chord or tie at ``i``; the index after it."""
+        ch = text[i]
+        if ch == "[":
+            return self._scan_chord(line_no, text, i)
+        if ch == "z":
+            return self._scan_rest(line_no, text, i)
+        if ch == "-":
+            self._apply_tie(line_no, i)
+            return i + 1
+        if ch in "^_=" or ch.upper() in LETTER_SEMITONES:
+            return self._scan_note(line_no, text, i)
+        raise ParseError(
+            f"unexpected character {ch!r}", line=line_no, column=i + 1,
+            rule_id="abc.parse")
+
+    def _scan_bar(self, line_no: int, text: str, i: int,
+                  measure: Measure | None = None) -> int:
+        """Scan the barline at ``i``, closing ``measure`` or the events
+        pending; the index after it."""
         if text.startswith("|]", i):
             self._finished = True
             width = 2
@@ -189,19 +218,22 @@ class _BodyParser:
             width = 2
         else:
             width = 1
-        self._close_measure(line_no, i + 1)
+        self._close_measure(line_no, i + 1, measure)
         self._last_was_bar = True
         self._last_was_event = False
         return i + width
 
-    def _close_measure(self, line_no: int, column: int) -> None:
-        if not self._pending:
-            if self._measures:
-                raise ParseError(
-                    "empty measure", line=line_no, column=column,
-                    rule_id="abc.parse")
-            return
-        self._measures.append(Measure(tuple(self._pending)))
+    def _close_measure(self, line_no: int, column: int,
+                       measure: Measure | None = None) -> None:
+        if measure is None:
+            if not self._pending:
+                if self._measures:
+                    raise ParseError(
+                        "empty measure", line=line_no, column=column,
+                        rule_id="abc.parse")
+                return
+            measure = Measure.trusted(tuple(self._pending))
+        self._measures.append(measure)
         self._pending = []
         self._onset = 0
 

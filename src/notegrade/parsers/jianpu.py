@@ -27,6 +27,7 @@ from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat,
 _DIRECTIVE_RE = re.compile(r"1=([A-G][#b]?)(?:\s+([0-9]+/[0-9]+))?")
 _TOKEN_RE = re.compile(r"^([0-7])('+|,+)?(_+)?$")
 _WORD_RE = re.compile(r"\S+")
+_BAR_RE = re.compile(r"(?<!\S)\|(?!\S)")
 
 
 def parse_key_directive(line: str,
@@ -47,10 +48,9 @@ def parse_key_directive(line: str,
     return key, meter
 
 
-def _split_tokens(lines: list[tuple[int, str]]):
-    for line_no, text in lines:
-        for match in _WORD_RE.finditer(text):
-            yield line_no, match.start() + 1, match[0]
+def _tied(event: Event) -> Event:
+    return Event.trusted(event.onset_ticks, event.duration_ticks,
+                         event.pitches, True)
 
 
 def _resolve_token(token: str, key: KeySignature, line_no: int,
@@ -111,55 +111,84 @@ def parse_jianpu(text: str,
     if key_override is not None:
         key = key_override
 
-    closed: list[list[Event]] = []
+    closed: list[Measure] = []
     pending: list[Event] = []
-    onset = 0
     last_was_bar = False
     # Duration in ticks and pitches of each distinct note or rest token.
     resolved: dict[str, tuple[int, tuple[int, ...]]] = {}
-    for line_no, column, token in _split_tokens(lines[directive_idx + 1:]):
-        if token == "|":
-            if pending:
-                closed.append(pending)
-                pending, onset = [], 0
-            elif closed or last_was_bar:
-                raise ParseError(
-                    "empty measure", line=line_no, column=column,
-                    rule_id="jianpu.measure_bars")
-            last_was_bar = True
-            continue
-        last_was_bar = False
+    # The measure built from each distinct measure text (see below).
+    measure_of: dict[str, Measure] = {}
+
+    def read(token: str, line_no: int, column: int) -> None:
+        """Add the note, rest or dash ``token`` to the pending measure."""
         if token == "-":
-            # Hold the previous event one beat more, across a barline too.
-            events = pending or (closed[-1] if closed else None)
-            if not events:
+            # Hold the previous event one beat more, across a barline too;
+            # a closed measure is rebuilt, never changed, as it may be shared.
+            if pending:
+                last = pending[-1]
+                pending[-1] = _tied(last)
+            elif closed:
+                *held, last = closed[-1].events
+                closed[-1] = Measure.trusted((*held, _tied(last)))
+            else:
                 raise ParseError(
                     "dash has no note to continue", line=line_no, column=column,
                     rule_id="jianpu.parse")
-            last = events[-1]
-            events[-1] = Event.trusted(
-                last.onset_ticks, last.duration_ticks, last.pitches, True)
             duration, pitches = TICKS_PER_BEAT, last.pitches
         else:
             if token not in resolved:
                 resolved[token] = _resolve_token(token, key, line_no, column)
             duration, pitches = resolved[token]
+        onset = pending[-1].onset_ticks + pending[-1].duration_ticks \
+            if pending else 0
         pending.append(Event.trusted(onset, duration, pitches))
-        onset += duration
+
+    for line_no, line in lines[directive_idx + 1:]:
+        pos = 0
+        while match := _WORD_RE.search(line, pos):
+            token, start, pos = match[0], match.start(), match.end()
+            if token == "|":
+                if pending:
+                    closed.append(Measure.trusted(tuple(pending)))
+                    pending.clear()
+                elif closed or last_was_bar:
+                    raise ParseError(
+                        "empty measure", line=line_no, column=start + 1,
+                        rule_id="jianpu.measure_bars")
+                last_was_bar = True
+                continue
+            last_was_bar = False
+            bar = None if pending or token == "-" else _BAR_RE.search(line, pos)
+            if bar is None:
+                read(token, line_no, start + 1)
+                continue
+            # A measure from its first token to a barline on the same line
+            # starts in the same state wherever it appears, unless a dash
+            # opens it, so each distinct text is read once; a text that
+            # raises is not kept.
+            written = line[start:bar.start()]
+            measure = measure_of.get(written)
+            if measure is None:
+                for word in _WORD_RE.finditer(line, start, bar.start()):
+                    read(word[0], line_no, word.start() + 1)
+                measure = measure_of[written] = Measure.trusted(tuple(pending))
+                pending.clear()
+            closed.append(measure)
+            pos = bar.end()
+            last_was_bar = True
 
     if pending:
-        closed.append(pending)
+        closed.append(Measure.trusted(tuple(pending)))
         final_barline = False
     else:
         final_barline = last_was_bar
     if not closed:
         raise ParseError("no music after key directive", rule_id="jianpu.parse")
 
-    measures = tuple(Measure(tuple(events)) for events in closed)
     return ScoreDoc(
         format=NotationFormat.JIANPU,
         key=key,
         meter=meter,
-        measures=measures,
+        measures=tuple(closed),
         final_barline=final_barline,
     )

@@ -12,6 +12,7 @@ key and meter default to C and 4/4.
 from __future__ import annotations
 
 import re
+from collections.abc import Container
 
 from ..errors import ParseError, PitchError
 from ..pitch import (
@@ -66,53 +67,66 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
                 f"character {bad[0]!r} not allowed in tablature", line=line_no,
                 column=bad.start() + 3, rule_id="tab.charset")
 
-    bar_cols = sorted({m.start() for b in bodies for m in _BAR_RE.finditer(b)})
-    for col in bar_cols:
-        if not all(b[col] == "|" for b in bodies):
-            raise ParseError(
-                "barline does not span all six strings",
-                line=non_blank[0][0], column=col + 3,
-                rule_id="tab.bar_alignment")
+    bars = [[m.start() for m in _BAR_RE.finditer(body)] for body in bodies]
+    if any(cols != bars[0] for cols in bars):
+        stray = set().union(*bars).difference(set(bars[0]).intersection(*bars))
+        raise ParseError(
+            "barline does not span all six strings",
+            line=non_blank[0][0], column=min(stray) + 3,
+            rule_id="tab.bar_alignment")
+    bar_cols = bars[0]
 
-    # (start column, string number, fret) for each maximal digit run.
-    runs: list[tuple[int, int, int]] = []
-    for string_idx, body in enumerate(bodies):
-        line_no = non_blank[string_idx][0]
-        for run in _RUN_RE.finditer(body):
+    # Each distinct fret run of a string is checked and resolved once, and
+    # an error located at its first run only when there is one, so every
+    # measure below parses cleanly. Fret errors come first, in string
+    # order; then the leftmost pitch error.
+    midi_of: list[dict[str, int]] = []
+    pitch_errors: list[tuple[int, int, str]] = []  # column, string, message
+    for string, ((line_no, _), body) in enumerate(zip(non_blank, bodies),
+                                                 start=1):
+        midi, too_high, unplayable = {}, {}, {}
+        for text in set(_RUN_RE.findall(body)):
+            fret = text.lstrip("0") or "0"
             # Compare lengths first: int() refuses very long digit runs.
-            fret = run[0].lstrip("0") or "0"
             if len(fret) > len(str(FRET_MAX)) or int(fret) > FRET_MAX:
-                raise ParseError(
-                    f"fret {fret} above {FRET_MAX}", line=line_no,
-                    column=run.start() + 3, rule_id="tab.fret_range")
-            runs.append((run.start(), string_idx + 1, int(fret)))
-
-    # One sweep over the runs in column order, cut at the barlines. Each
-    # segment between barlines is a measure, even a silent one; the
-    # segment after the last barline is one only when it holds notes.
-    runs.sort()
-    measures: list[Measure] = []
-    taken = lo = 0
-    for hi in (*bar_cols, width):
-        frames: dict[int, list[int]] = {}
-        while taken < len(runs) and runs[taken][0] < hi:
-            col, string, fret = runs[taken]
-            taken += 1
+                too_high[text] = fret
+                continue
             try:
-                midi = tab_to_midi(TabEvent(string, fret, col), tuning)
+                midi[text] = tab_to_midi(TabEvent(string, int(fret)), tuning)
             except PitchError as exc:
-                raise ParseError(
-                    str(exc), column=col + 3,
-                    rule_id="tab.pitch_range") from None
-            frames.setdefault(col, []).append(midi)
-        events = tuple(
-            Event.trusted(beat * TICKS_PER_BEAT, TICKS_PER_BEAT,
-                          tuple(sort_chord(frame)))
-            for beat, frame in enumerate(frames.values()))
-        if events or lo < hi < width:
-            measures.append(Measure(events))
+                unplayable[text] = str(exc)
+        if too_high:
+            run = _first_run(body, too_high)
+            raise ParseError(
+                f"fret {too_high[run[0]]} above {FRET_MAX}", line=line_no,
+                column=run.start() + 3, rule_id="tab.fret_range")
+        if unplayable:
+            run = _first_run(body, unplayable)
+            pitch_errors.append((run.start(), string, unplayable[run[0]]))
+        midi_of.append(midi)
+    if pitch_errors:
+        column, _, message = min(pitch_errors)
+        raise ParseError(message, column=column + 3,
+                         rule_id="tab.pitch_range")
+
+    # Each segment between barlines is a measure, even a silent one; the
+    # segment after the last barline is one only when it holds notes. The
+    # measure of each distinct segment, its six slices joined, is built
+    # once.
+    measures: list[Measure] = []
+    measure_of: dict[str, Measure] = {}
+    lo = 0
+    for hi in (*bar_cols, width):
+        segment = "\n".join([body[lo:hi] for body in bodies])
+        measure = measure_of.get(segment)
+        if measure is None:
+            measure = _measure(segment, hi - lo + 1, midi_of)
+            measure_of[segment] = measure
+        if measure.events or lo < hi < width:
+            measures.append(measure)
         lo = hi + 1
-    final_barline = bool(bar_cols) and not events  # the trailing segment's
+    # The last measure built is the trailing segment's.
+    final_barline = bool(bar_cols) and not measure.events
 
     if not any(m.events for m in measures):
         raise ParseError("tablature contains no notes", rule_id="tab.parse")
@@ -124,3 +138,23 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
         measures=tuple(measures),
         final_barline=final_barline,
     )
+
+
+def _first_run(body: str, texts: Container[str]) -> re.Match:
+    """The leftmost fret run in ``body`` written as one of ``texts``."""
+    return next(run for run in _RUN_RE.finditer(body) if run[0] in texts)
+
+
+def _measure(segment: str, stride: int,
+             midi_of: list[dict[str, int]]) -> Measure:
+    """The measure on six string slices of ``stride - 1`` columns joined
+    by newlines: fret runs that start in the same column form one frame,
+    and frames are a beat apart."""
+    frames: dict[int, list[int]] = {}
+    for run in _RUN_RE.finditer(segment):
+        string, column = divmod(run.start(), stride)
+        frames.setdefault(column, []).append(midi_of[string][run[0]])
+    return Measure.trusted(tuple(
+        Event.trusted(beat * TICKS_PER_BEAT, TICKS_PER_BEAT,
+                      tuple(sort_chord(frames[column])))
+        for beat, column in enumerate(sorted(frames))))

@@ -10,12 +10,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, compress
+from operator import attrgetter
 
 from .errors import ConfigError
 from .metrics import require_exact
 from .score import TICKS_PER_BEAT, GroundTruth, ScoreDoc
 
 DEFAULT_GRID = Fraction(1, 4)
+_EVENTS = attrgetter("events")
+_PITCHES = attrgetter("pitches")
+_DURATION_TICKS = attrgetter("duration_ticks")
+_TIED = attrgetter("tied")
 
 
 @dataclass(frozen=True)
@@ -25,18 +31,32 @@ class CanonicalSequence:
 
 
 def project(doc: ScoreDoc) -> CanonicalSequence:
-    """Flatten a document into canonical pitch and duration streams."""
-    units: list[list] = []
-    for event in doc.events():
-        if units and units[-1][2] and units[-1][0] == event.pitches:
-            units[-1][1] += event.duration_ticks
-            units[-1][2] = event.tied
-        else:
-            units.append([event.pitches, event.duration_ticks, event.tied])
-    beats = {t: Fraction(t, TICKS_PER_BEAT) for t in {t for _, t, _ in units}}
+    """Flatten a document into canonical pitch and duration streams.
+
+    An event joins the unit before it when the event before it is tied
+    and has the same pitches; the unit lasts as long as its events.
+    """
+    events = list(chain.from_iterable(map(_EVENTS, doc.measures)))
+    pitches = list(map(_PITCHES, events))
+    ticks = list(map(_DURATION_TICKS, events))
+    tied = list(map(_TIED, events))
+    joined = [j for j in compress(range(1, len(events)), tied)
+              if pitches[j] == pitches[j - 1]]
+    if joined:
+        keep = [True] * len(events)
+        for j in joined:
+            keep[j] = False
+        head = 0
+        for j in joined:  # ascending, so each unit's head is seen first
+            if keep[j - 1]:
+                head = j - 1
+            ticks[head] += ticks[j]
+        pitches = list(compress(pitches, keep))
+        ticks = list(compress(ticks, keep))
+    beats = {t: Fraction(t, TICKS_PER_BEAT) for t in set(ticks)}
     return CanonicalSequence(
-        pitch_tokens=tuple(pitches for pitches, _, _ in units if pitches),
-        durations=tuple(beats[ticks] for _, ticks, _ in units),
+        pitch_tokens=tuple(filter(None, pitches)),
+        durations=tuple(map(beats.__getitem__, ticks)),
     )
 
 
@@ -64,8 +84,21 @@ def quantize_duration(duration: Fraction, grid: Fraction) -> Fraction:
 
 def quantize_durations(durations: tuple[Fraction, ...],
                        grid: Fraction = DEFAULT_GRID) -> tuple[Fraction, ...]:
-    snapped = {d: quantize_duration(d, grid) for d in set(durations)}
-    return tuple(snapped[d] for d in durations)
+    """Snap every duration to the grid, as ``quantize_duration``.
+
+    Each distinct object is hashed once and each distinct value snapped
+    once, and the result holds one object per value: ``project`` writes
+    one object per distinct duration, so a long stream costs a hash per
+    distinct duration here and in ``edit_distance``.
+    """
+    snapped: dict[Fraction, Fraction] = {}
+    snapped_by_id: dict[int, Fraction] = {}
+    for key, duration in dict(zip(map(id, durations), durations)).items():
+        value = snapped.get(duration)
+        if value is None:
+            value = snapped[duration] = quantize_duration(duration, grid)
+        snapped_by_id[key] = value
+    return tuple(map(snapped_by_id.__getitem__, map(id, durations)))
 
 
 def beats_text(value: Fraction) -> str:

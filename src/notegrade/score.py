@@ -149,12 +149,23 @@ def _set_event(event: Event, onset: int, duration: int,
 
 @dataclass(frozen=True, slots=True)
 class Measure:
+    """The events of one measure. ``Measure(events)`` checks that their
+    onsets do not decrease; the parsers, whose onsets are running sums,
+    build measures with ``trusted``."""
+
     events: tuple[Event, ...] = ()
 
     def __post_init__(self) -> None:
         onsets = [e.onset_ticks for e in self.events]
         if onsets != sorted(onsets):
             raise ParseError("event onsets within a measure must be non-decreasing")
+
+    @classmethod
+    def trusted(cls, events: tuple[Event, ...]) -> "Measure":
+        """A measure the caller guarantees valid, built without checks."""
+        measure = object.__new__(cls)
+        object.__setattr__(measure, "events", events)
+        return measure
 
     @property
     def duration_ticks(self) -> int:

@@ -3,6 +3,11 @@ checks of the public constructor. These properties hold that path to
 the same invariants on every document the renderers below can write:
 each event survives a rebuild through ``Event(...)``, and within a
 measure each onset is the running sum of the earlier durations.
+
+The parsers also build each distinct measure text of a document once
+and reuse that measure where the text repeats. Documents drawn with
+repeated measures hold that reuse to parsing each measure on its own,
+and to the errors the parser reports without it.
 """
 
 from fractions import Fraction
@@ -12,6 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from notegrade.errors import NotegradeError, ParseError
 from notegrade.parsers import parse_abc, parse_ascii_tab, parse_jianpu
+from notegrade.pitch import Tuning
 from notegrade.score import TICKS_PER_BEAT, Event, Measure, TimeSignature
 
 # --- renderers --------------------------------------------------------------
@@ -152,6 +158,184 @@ def test_tab_events_hold_the_public_invariants(text):
         assert exc.rule_id == "tab.parse"  # no notes at all
         return
     _assert_trusted_invariants(doc)
+
+
+# --- repeated measures ------------------------------------------------------
+
+_ABC_HEAD = "X:1\nM:4/4\nL:1/8\nK:D\n"
+_TAB_LABELS = ("e|", "B|", "G|", "D|", "A|", "E|")
+
+
+def _abc_measure(draw):
+    return " ".join(draw(st.lists(_abc_beat(), min_size=1, max_size=4)))
+
+
+def _jianpu_measure(draw):
+    tokens = [draw(_jianpu_token())]
+    for _ in range(draw(st.integers(0, 4))):
+        tokens.append(draw(st.one_of(_jianpu_token(), st.just("-"))))
+    return " ".join(tokens)
+
+
+def _tab_measure(draw):
+    """Six string slices of one measure, with at least one fret."""
+    slots = draw(st.integers(1, 3))
+    cells = [["-"] * (3 * slots + 1) for _ in range(6)]
+    for slot in draw(st.sets(st.integers(0, slots - 1), min_size=1)):
+        for string in draw(st.sets(st.integers(0, 5), min_size=1,
+                                   max_size=3)):
+            fret = str(draw(st.integers(0, 12)))
+            cells[string][3 * slot + 1:3 * slot + 1 + len(fret)] = fret
+    return tuple("".join(cell) for cell in cells)
+
+
+def _lay_out(draw, measures, bar, end):
+    """Measures joined by ``bar``, a random number to a line, and maybe
+    one of them broken over two lines."""
+    measures = list(measures)
+    if draw(st.booleans()):
+        k = draw(st.integers(0, len(measures) - 1))
+        measures[k] = measures[k].replace(" ", "\n", 1)
+    per_line = draw(st.integers(1, 4))
+    lines = [bar.join(measures[i:i + per_line])
+             for i in range(0, len(measures), per_line)]
+    return (bar.rstrip() + "\n").join(lines) + end
+
+
+@st.composite
+def repeated_documents(draw, fmt):
+    """A document whose measures are drawn, with repetition, from a pool
+    of up to three, and for each measure either None or how it reads
+    alone: a document of that one measure, and whether the measure's
+    last event is tied by a dash opening the next one."""
+    make = {"staff": _abc_measure, "jianpu": _jianpu_measure,
+            "tab": _tab_measure}[fmt]
+    pool = [make(draw) for _ in range(draw(st.integers(1, 3)))]
+    order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
+                          max_size=12))
+    measures = [pool[k] for k in order]
+    if fmt == "tab":
+        text = "".join(label + "|".join(slices) + "|\n" for label, slices
+                       in zip(_TAB_LABELS, zip(*measures)))
+        alone = ["".join(label + piece + "|\n" for label, piece
+                         in zip(_TAB_LABELS, slices)) for slices in measures]
+        return text, [(one, False) for one in alone]
+    if fmt == "staff":
+        text = _ABC_HEAD + _lay_out(draw, measures, "|", "|]\n")
+        return text, [(_ABC_HEAD + m + "|]\n", False) for m in measures]
+    # A dash may open any measure but the first, holding the note before.
+    dashed = [i > 0 and draw(st.booleans()) for i in range(len(measures))]
+    written = ["- " + m if dash else m for m, dash in zip(measures, dashed)]
+    text = "1=G\n" + _lay_out(draw, written, " | ", " |\n")
+    expected = [None if dash else ("1=G\n" + m + " |\n", tie_next)
+                for m, dash, tie_next
+                in zip(measures, dashed, dashed[1:] + [False])]
+    return text, expected
+
+
+_PARSERS = {"staff": parse_abc, "jianpu": parse_jianpu,
+            "tab": parse_ascii_tab}
+
+
+@pytest.mark.parametrize("fmt", ["staff", "jianpu", "tab"])
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_repeated_measures_parse_as_they_do_alone(fmt, data):
+    text, alone = data.draw(repeated_documents(fmt))
+    parse = _PARSERS[fmt]
+    doc = _parsed_or_skip(parse, text)
+    if doc is None:
+        return
+    _assert_trusted_invariants(doc)
+    assert len(doc.measures) == len(alone)
+    for measure, expected in zip(doc.measures, alone):
+        if expected is None:
+            continue
+        one, tied_by_next = expected
+        events = parse(one).measures[0].events
+        if tied_by_next:
+            last = events[-1]
+            events = events[:-1] + (Event.trusted(
+                last.onset_ticks, last.duration_ticks, last.pitches, True),)
+        assert measure.events == events
+
+
+@pytest.mark.parametrize("fmt,text", [
+    ("staff", _ABC_HEAD + "A B c d|A B c d|\nA B c d|]\n"),
+    ("jianpu", "1=C\n1 2 3 4 | 1 2 3 4 |\n1 2 3 4 |\n"),
+    ("tab", "".join(label + "-3-5-|-3-5-|-3-5-|\n" for label in _TAB_LABELS)),
+])
+def test_a_repeated_measure_is_built_once(fmt, text):
+    first, *rest = _PARSERS[fmt](text).measures
+    assert len(rest) == 2 and all(measure is first for measure in rest)
+
+
+@pytest.mark.parametrize("fmt,text", [
+    ("staff", _ABC_HEAD + "A B\nc d|c d|]\n"),
+    ("jianpu", "1=C\n1 2\n3 4 | 3 4 |\n"),
+])
+def test_a_measure_spanning_lines_is_not_reused(fmt, text):
+    # The second measure repeats only the first one's last line.
+    first, second = _PARSERS[fmt](text).measures
+    assert (len(first.events), len(second.events)) == (4, 2)
+
+
+_HIGH_TUNING = Tuning((127, 120, 110, 100, 90, 80))
+
+
+def _tab_rows(*rows):
+    """Six tablature lines: ``rows`` on the top strings, and below them
+    rests with the barlines of the first."""
+    rest = "".join(ch if ch == "|" else "-" for ch in rows[0])
+    rows = list(rows) + [rest] * (6 - len(rows))
+    return "".join(label + row + "\n" for label, row in zip(_TAB_LABELS, rows))
+
+
+# Each error follows repeats of a measure that parsed cleanly; its rule
+# id, line and column are the ones the parser reported before measures
+# were reused.
+@pytest.mark.parametrize("fmt,text,rule_id,line,column", [
+    ("staff", _ABC_HEAD + "A B c d|" * 3 + "A B c H|]\n",
+     "abc.parse", 5, 31),
+    ("staff", _ABC_HEAD + "A B c d|" * 3 + "A B c d/3|]\n",
+     "abc.duration_resolution", 5, 31),
+    ("staff", _ABC_HEAD + "A B c d|\n" * 3 + "A B c d|]A B c d|\n",
+     "abc.parse", 8, 10),
+    ("staff", _ABC_HEAD + "A B c d|\n" * 3 + "A B\nc d|A B [c|\n",
+     "abc.parse", 9, 11),
+    ("jianpu", "1=C\n" + "1 2 3 4 | " * 3 + "1 2 3 8 |\n",
+     "jianpu.degree_range", 2, 37),
+    ("jianpu", "1=C\n" + "1 2 3 4 |\n" * 3 + "1 2 3 4x |\n",
+     "jianpu.parse", 5, 7),
+    ("jianpu", "1=C\n" + "1 2 3 4 | " * 3 + "| 1 2 3 4 |\n",
+     "jianpu.measure_bars", 2, 31),
+    ("tab", _tab_rows("-0-2-|" * 3 + "-0-25|"), "tab.fret_range", 1, 24),
+    ("tab", _tab_rows("-0-2-|" * 4, "-1---|" * 3 + "-1-|-|"),
+     "tab.bar_alignment", 1, 24),
+])
+def test_an_error_after_repeats_keeps_its_position(fmt, text, rule_id, line,
+                                                  column):
+    with pytest.raises(ParseError) as raised:
+        _PARSERS[fmt](text)
+    assert (raised.value.rule_id, raised.value.line,
+            raised.value.column) == (rule_id, line, column)
+
+
+def test_a_pitch_error_after_repeats_keeps_its_column():
+    text = _tab_rows("-0-|" * 3 + "-1-|", "-2-|" * 4)
+    with pytest.raises(ParseError) as raised:
+        parse_ascii_tab(text, _HIGH_TUNING)
+    assert (raised.value.rule_id, raised.value.line,
+            raised.value.column) == ("tab.pitch_range", None, 16)
+
+
+def test_a_dash_opening_a_measure_leaves_earlier_copies_untied():
+    doc = parse_jianpu("1=C\n1 2 3 4 | 1 2 3 4 | - 5 6 7 | 1 2 3 4 |\n")
+    first, second, _, fourth = doc.measures
+    assert [e.tied for e in first.events] == [False] * 4
+    assert [e.tied for e in second.events] == [False] * 3 + [True]
+    assert fourth is first
+    assert second.events[:3] == first.events[:3]
 
 
 # --- the public constructor -------------------------------------------------

@@ -191,6 +191,24 @@ def test_edit_distance_matches_the_dp(make, n, m):
         assert edit_distance(b, a) == expected
 
 
+def test_edit_distance_matches_the_dp_past_255_distinct_tokens():
+    # The masks are built for 255 distinct tokens of the shorter
+    # sequence at a time; equal tokens may be distinct objects.
+    rng = random.Random(300)
+    short = [Fraction(k, 3) for k in rng.sample(range(1_000), 300)]
+    long = [Fraction(rng.choice(short)) if rng.random() < 0.7
+            else Fraction(rng.randrange(1_000, 1_100)) for _ in range(450)]
+    expected = dp_edit_distance(short, long)
+    assert edit_distance(short, long) == edit_distance(long, short) == expected
+
+
+def test_edit_distance_on_characters_built_per_access():
+    # Indexing a str of non-Latin-1 characters builds a new object each
+    # time, so no token's identity outlives one pass over the sequence.
+    a, b = "αβγδ" * 40, "γαβ" * 70
+    assert edit_distance(a, b) == dp_edit_distance(a, b)
+
+
 @pytest.mark.parametrize("n,m", [(1, 2_000), (3, 700), (65, 1_000),
                                  (200, 3)])
 def test_edit_distance_matches_the_dp_on_very_unequal_lengths(n, m):
@@ -211,6 +229,19 @@ def test_edit_distance_on_200_by_20000_tokens_is_fast():
     distance = edit_distance(a, b)
     elapsed = time.perf_counter() - start
     assert 19_800 <= distance <= 20_000
+    assert elapsed < 1.0, f"edit_distance took {elapsed:.2f} s"
+
+
+def test_edit_distance_on_8_by_1000000_tokens_is_fast():
+    # The masks of the longer sequence are built in linear time: one
+    # mask per token, set bit by bit, would take quadratic time here.
+    rng = random.Random(12)
+    a = [rng.randrange(16) for _ in range(8)]
+    b = [rng.randrange(16) for _ in range(1_000_000)]
+    start = time.perf_counter()
+    distance = edit_distance(a, b)
+    elapsed = time.perf_counter() - start
+    assert 999_992 <= distance <= 1_000_000
     assert elapsed < 1.0, f"edit_distance took {elapsed:.2f} s"
 
 

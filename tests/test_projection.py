@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from notegrade.errors import ConfigError
 from notegrade.parsers import parse_abc, parse_ground_truth, parse_jianpu
+from notegrade.pitch import KeySignature
 from notegrade.projection import (
     beats_text,
     project,
@@ -13,6 +14,8 @@ from notegrade.projection import (
     quantize_durations,
     sequence_to_json_dict,
 )
+from notegrade.score import (TICKS_PER_BEAT, Event, Measure, NotationFormat,
+                             ScoreDoc, TimeSignature)
 
 
 def _abc(body: str):
@@ -35,6 +38,36 @@ def test_tie_chain_merges_across_measures():
     seq = project(_abc("C3 E-|E- E3|]"))
     assert seq.pitch_tokens == ((60,), (64,))
     assert seq.durations == (Fraction(3), Fraction(5))
+
+
+def _project_by_loop(doc):
+    """The projection as one loop over the events: an event joins the
+    unit before it when that unit is tied and has the same pitches."""
+    units = []
+    for event in doc.events():
+        if units and units[-1][2] and units[-1][0] == event.pitches:
+            units[-1][1] += event.duration_ticks
+            units[-1][2] = event.tied
+        else:
+            units.append([event.pitches, event.duration_ticks, event.tied])
+    return (tuple(pitches for pitches, _, _ in units if pitches),
+            tuple(Fraction(ticks, TICKS_PER_BEAT) for _, ticks, _ in units))
+
+
+_EVENT = st.tuples(st.sampled_from([(), (60,), (62,), (60, 64)]),
+                   st.sampled_from([1, 2048, 4096, 6144]), st.booleans())
+
+
+@given(st.lists(st.lists(_EVENT, max_size=5), min_size=1, max_size=6))
+def test_projection_matches_the_loop_over_events(measures):
+    doc = ScoreDoc(NotationFormat.ABC_STAFF, KeySignature.parse("C"),
+                   TimeSignature(4, 4), tuple(
+                       Measure.trusted(tuple(
+                           Event.trusted(0, ticks, pitches, tied)
+                           for pitches, ticks, tied in events))
+                       for events in measures))
+    seq = project(doc)
+    assert (seq.pitch_tokens, seq.durations) == _project_by_loop(doc)
 
 
 def test_tie_to_different_pitch_does_not_merge():
