@@ -29,7 +29,7 @@ from .harness import (
     score_text,
     write_report,
 )
-from .metrics import MetricWeights
+from .metrics import MetricWeights, parse_numbers
 from .pitch import STANDARD_TUNING, KeySignature, PitchError, Tuning
 from .projection import (DEFAULT_GRID, project, project_ground_truth,
                          sequence_to_json_dict)
@@ -72,10 +72,7 @@ def _load_env_config() -> dict:
 
 
 def _parse_grid(text: str) -> Fraction:
-    try:
-        grid = Fraction(text)
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"malformed grid {text!r}") from None
+    [grid] = parse_numbers(text, 1, "grid")
     return EvalConfig(grid=grid).grid  # EvalConfig holds the grid > 0 check
 
 

@@ -117,15 +117,19 @@ def require_exact(what: str, value: object) -> None:
 
 
 def parse_numbers(text: str, count: int, what: str) -> list[Fraction]:
-    """Exactly ``count`` comma-separated exact numbers, or a ConfigError."""
+    """Exactly ``count`` comma-separated exact numbers in ASCII (``Fraction``
+    alone takes any Unicode digit and ``_``), or a ConfigError."""
     parts = text.split(",")
     if len(parts) != count:
-        raise ConfigError(f"{what} must be {({3: 'three', 4: 'four'})[count]}"
-                          f" comma-separated numbers, got {text!r}")
-    try:
-        return [Fraction(part.strip()) for part in parts]
-    except (ValueError, ZeroDivisionError):
-        raise ConfigError(f"malformed {what} {text!r}") from None
+        plural = "s" if count > 1 else ""
+        raise ConfigError(f"{what} must be {count} comma-separated "
+                          f"number{plural}, got {text!r}")
+    if text.isascii() and "_" not in text:
+        try:
+            return [Fraction(part.strip()) for part in parts]
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise ConfigError(f"malformed {what} {text!r}")
 
 
 @dataclass(frozen=True)

@@ -36,8 +36,14 @@ _REQUIRED_HEADERS = (
 _UNIT_RE = re.compile(r"([0-9]+)/([0-9]+)")
 _PITCH_RE = re.compile(r"([\^_=]?)([A-Ga-g])([',]*)")
 _LENGTH_RE = re.compile(r"([0-9]*)(/*)([0-9]*)")
-_NOTE_RE = re.compile(_PITCH_RE.pattern + _LENGTH_RE.pattern)
 _ACCIDENTALS = {"^": 1, "_": -1, "=": 0}
+# One item of a tune body, after any whitespace: a barline, a tie, a rest
+# or a note with its length (or a stray accidental), a chord's "[", or
+# any other character. The group that matched tells which.
+_ITEM_RE = re.compile(r"\s*(?:(\|\]|\|\||\|)|(-)|"
+                      r"(z[0-9]*/*[0-9]*|[\^_=]?[A-Ga-g][',]*[0-9]*/*[0-9]*|[\^_=])"
+                      r"|(\[)|(\S))")
+_BAR, _TIE, _SOUND, _CHORD = 1, 2, 3, 4
 
 
 def _number(digits: str, **where) -> int:
@@ -127,218 +133,161 @@ def default_unit_length(meter: TimeSignature) -> Fraction:
     return Fraction(1, 16) if below else Fraction(1, 8)
 
 
-class _BodyParser:
-    def __init__(self, body: list[tuple[int, str]], key_name: str,
-                 unit: Fraction):
-        self._body = body
-        self._key_shift = key_signature_accidentals(key_name)
-        self._unit_beats = (unit.numerator * 4, unit.denominator)
-        # The pitches and ticks of each distinct note token.
-        self._notes: dict[str, tuple[tuple[int], int]] = {}
-        # The measure built from each distinct measure text (_scan_measure).
-        self._measure_of: dict[str, Measure] = {}
-        self._measures: list[Measure] = []
-        self._pending: list[Event] = []
-        self._onset = 0
-        self._last_was_event = False
-        self._last_was_bar = False
-        self._finished = False
+def _error(message: str, line_no: int, i: int) -> ParseError:
+    """An ``abc.parse`` error at index ``i`` of line ``line_no``."""
+    return ParseError(message, line=line_no, column=i + 1, rule_id="abc.parse")
 
-    def run(self) -> tuple[tuple[Measure, ...], bool]:
-        for line_no, text in self._body:
-            self._scan_line(line_no, text)
-        if self._pending:
-            self._measures.append(Measure.trusted(tuple(self._pending)))
-            final_barline = False
-        else:
-            final_barline = self._last_was_bar
-        if not self._measures:
-            raise ParseError("tune body contains no music", rule_id="abc.parse")
-        return tuple(self._measures), final_barline
 
-    def _scan_line(self, line_no: int, text: str) -> None:
-        i = 0
+def _parse_body(body: list[tuple[int, str]], key_name: str,
+                unit: Fraction) -> tuple[tuple[Measure, ...], bool]:
+    """The measures of a tune body, and whether it ends on a barline.
+
+    Each line is read item by item (``_ITEM_RE``), and each distinct note
+    or rest text is resolved once. Every measure starts in the same
+    state, so the measure written as each distinct text from a line start
+    or a barline to the next barline is built once: it is looked up
+    before that text is read, and kept when the barline closes it. A text
+    that raises is not kept, and a measure that spans lines is read item
+    by item.
+    """
+    key_shift = key_signature_accidentals(key_name)
+    unit_beats = (unit.numerator * 4, unit.denominator)
+    # The pitches and ticks of each distinct note or rest text.
+    sounds: dict[str, tuple[tuple[int, ...], int]] = {}
+    measure_of: dict[str, Measure] = {}
+    measures: list[Measure] = []
+    pending: list[Event] = []
+    onset = 0
+    finished = False
+    for line_no, text in body:
+        i, key = 0, None
         while i < len(text):
-            ch = text[i]
-            if ch.isspace():
-                i += 1
+            memo = None
+            if not pending and not finished:
+                end = text.find("|", i)
+                key = text[i:end] if end != -1 else None
+                memo = measure_of.get(key)
+                if memo is not None:
+                    i = end
+            item = _ITEM_RE.match(text, i)
+            if item is None:
+                break
+            kind = item.lastindex
+            start, i = item.start(kind), item.end()
+            if finished:
+                raise _error("content after final barline", line_no, start)
+            if kind == _SOUND:
+                token = item[kind]
+                if token not in sounds:
+                    sounds[token] = _scan_event(text, start, line_no,
+                                                key_shift, unit_beats)[:2]
+                pitches, ticks = sounds[token]
+            elif kind == _CHORD:
+                pitches, ticks, i = _scan_event(text, start, line_no,
+                                                key_shift, unit_beats)
+            elif kind == _BAR:
+                if memo is None and pending:
+                    memo = Measure.trusted(tuple(pending))
+                    if key is not None:
+                        measure_of[key] = memo
+                if memo is not None:
+                    measures.append(memo)
+                elif measures:
+                    raise _error("empty measure", line_no, start)
+                pending, onset = [], 0
+                finished = item[kind] == "|]"
                 continue
-            if self._finished:
-                raise ParseError(
-                    "content after final barline", line=line_no, column=i + 1,
-                    rule_id="abc.parse")
-            if ch == "|":
-                i = self._scan_bar(line_no, text, i)
-            elif not self._pending and (end := text.find("|", i)) != -1:
-                measure = self._scan_measure(line_no, text, i, end)
-                i = self._scan_bar(line_no, text, end, measure)
+            elif kind == _TIE:
+                # A tied last event means the item before was a tie too.
+                if not pending or pending[-1].tied:
+                    raise _error("tie must directly follow a note", line_no, start)
+                last = pending[-1]
+                if last.is_rest:
+                    raise _error("rests cannot be tied", line_no, start)
+                pending[-1] = Event.trusted(
+                    last.onset_ticks, last.duration_ticks, last.pitches, True)
+                continue
             else:
-                i = self._scan_item(line_no, text, i)
+                raise _error(f"unexpected character {item[kind]!r}", line_no, start)
+            pending.append(Event.trusted(onset, ticks, pitches))
+            onset += ticks
+    if pending:
+        measures.append(Measure.trusted(tuple(pending)))
+    if not measures:
+        raise ParseError("tune body contains no music", rule_id="abc.parse")
+    # Without a measure pending, the last item closed one: a barline.
+    return tuple(measures), not pending
 
-    def _scan_measure(self, line_no: int, text: str, i: int,
-                      end: int) -> Measure:
-        """The measure written as ``text[i:end]``, from its first event to
-        its closing barline. Every measure starts in the same state, so
-        a repeated text is scanned only once; a text that raises is not
-        kept, and a measure that spans lines is scanned item by item."""
-        key = text[i:end]
-        measure = self._measure_of.get(key)
-        if measure is None:
-            while i < end:
-                i = (i + 1 if text[i].isspace()
-                     else self._scan_item(line_no, text, i))
-            measure = Measure.trusted(tuple(self._pending))
-            self._measure_of[key] = measure
-        return measure
 
-    def _scan_item(self, line_no: int, text: str, i: int) -> int:
-        """Scan the note, rest, chord or tie at ``i``; the index after it."""
-        ch = text[i]
-        if ch == "[":
-            return self._scan_chord(line_no, text, i)
-        if ch == "z":
-            return self._scan_rest(line_no, text, i)
-        if ch == "-":
-            self._apply_tie(line_no, i)
-            return i + 1
-        if ch in "^_=" or ch.upper() in LETTER_SEMITONES:
-            return self._scan_note(line_no, text, i)
-        raise ParseError(
-            f"unexpected character {ch!r}", line=line_no, column=i + 1,
-            rule_id="abc.parse")
-
-    def _scan_bar(self, line_no: int, text: str, i: int,
-                  measure: Measure | None = None) -> int:
-        """Scan the barline at ``i``, closing ``measure`` or the events
-        pending; the index after it."""
-        if text.startswith("|]", i):
-            self._finished = True
-            width = 2
-        elif text.startswith("||", i):
-            width = 2
-        else:
-            width = 1
-        self._close_measure(line_no, i + 1, measure)
-        self._last_was_bar = True
-        self._last_was_event = False
-        return i + width
-
-    def _close_measure(self, line_no: int, column: int,
-                       measure: Measure | None = None) -> None:
-        if measure is None:
-            if not self._pending:
-                if self._measures:
-                    raise ParseError(
-                        "empty measure", line=line_no, column=column,
-                        rule_id="abc.parse")
-                return
-            measure = Measure.trusted(tuple(self._pending))
-        self._measures.append(measure)
-        self._pending = []
-        self._onset = 0
-
-    def _emit(self, pitches: tuple[int, ...], ticks: int) -> None:
-        self._pending.append(Event.trusted(self._onset, ticks, pitches))
-        self._onset += ticks
-        self._last_was_event = True
-        self._last_was_bar = False
-
-    def _apply_tie(self, line_no: int, i: int) -> None:
-        if not self._last_was_event or not self._pending:
-            raise ParseError(
-                "tie must directly follow a note", line=line_no, column=i + 1,
-                rule_id="abc.parse")
-        last = self._pending[-1]
-        if last.is_rest:
-            raise ParseError(
-                "rests cannot be tied", line=line_no, column=i + 1,
-                rule_id="abc.parse")
-        self._pending[-1] = Event.trusted(
-            last.onset_ticks, last.duration_ticks, last.pitches, True)
-        self._last_was_event = False
-
-    def _scan_rest(self, line_no: int, text: str, i: int) -> int:
-        ticks, end = self._scan_duration(line_no, text, i + 1, i + 1)
-        self._emit((), ticks)
-        return end
-
-    def _scan_note(self, line_no: int, text: str, i: int) -> int:
-        # No match only for an accidental without a letter: _scan_pitch raises.
-        match = _NOTE_RE.match(text, i)
-        token = match[0] if match else ""
-        if token not in self._notes:
-            midi, end = self._scan_pitch(line_no, text, i)
-            ticks, end = self._scan_duration(line_no, text, end, i + 1)
-            self._notes[token] = ((midi,), ticks)
-        self._emit(*self._notes[token])
-        return i + len(token)
-
-    def _scan_chord(self, line_no: int, text: str, i: int) -> int:
-        column = i + 1
-        i += 1
-        pitches: list[int] = []
+def _scan_event(text: str, i: int, line_no: int, key_shift: dict[str, int],
+                unit_beats: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
+    """The pitches and ticks of the rest, note or chord at ``i``, and the
+    index after it. A stray accidental raises from ``_scan_pitch``."""
+    if text[i] == "z":
+        pitches, end = (), i + 1
+    elif text[i] != "[":
+        midi, end = _scan_pitch(text, i, line_no, key_shift)
+        pitches = (midi,)
+    else:
+        chord, end = [], i + 1
         while True:
-            if i >= len(text):
-                raise ParseError(
-                    "unterminated chord", line=line_no, column=column,
-                    rule_id="abc.parse")
-            ch = text[i]
+            if end >= len(text):
+                raise _error("unterminated chord", line_no, i)
+            ch = text[end]
             if ch == "]":
-                i += 1
+                end += 1
                 break
             if ch in "0123456789/":
-                raise ParseError(
-                    "chord notes cannot carry their own durations",
-                    line=line_no, column=i + 1, rule_id="abc.parse")
+                raise _error("chord notes cannot carry their own durations",
+                             line_no, end)
             if not (ch in "^_=" or ch.upper() in LETTER_SEMITONES):
-                raise ParseError(
-                    f"unexpected character {ch!r} in chord", line=line_no,
-                    column=i + 1, rule_id="abc.parse")
-            midi, i = self._scan_pitch(line_no, text, i)
-            pitches.append(midi)
-        if not pitches:
-            raise ParseError(
-                "empty chord", line=line_no, column=column, rule_id="abc.parse")
-        ticks, i = self._scan_duration(line_no, text, i, column)
-        self._emit(tuple(sort_chord(pitches)), ticks)
-        return i
+                raise _error(f"unexpected character {ch!r} in chord", line_no, end)
+            midi, end = _scan_pitch(text, end, line_no, key_shift)
+            chord.append(midi)
+        if not chord:
+            raise _error("empty chord", line_no, i)
+        pitches = tuple(sort_chord(chord))
+    ticks, end = _scan_duration(text, end, line_no, i + 1, unit_beats)
+    return pitches, ticks, end
 
-    def _scan_pitch(self, line_no: int, text: str, i: int) -> tuple[int, int]:
-        match = _PITCH_RE.match(text, i)
-        if not match:
-            raise ParseError(
-                "accidental must be followed by a note letter",
-                line=line_no, column=i + 1, rule_id="abc.parse")
-        accidental, letter, marks = match.groups()
-        semitones = ((72 if letter.islower() else 60)
-                     + LETTER_SEMITONES[letter.upper()]
-                     + 12 * (marks.count("'") - marks.count(","))
-                     + (_ACCIDENTALS[accidental] if accidental
-                        else self._key_shift.get(letter.upper(), 0)))
-        try:
-            return check_midi(semitones), match.end()
-        except PitchError as exc:
-            raise ParseError(
-                str(exc), line=line_no, column=i + 1,
-                rule_id="abc.pitch_range") from None
 
-    def _scan_duration(self, line_no: int, text: str, i: int,
-                       event_column: int) -> tuple[int, int]:
-        """The duration in ticks of the event at ``event_column`` whose
-        length multiplier starts at ``i``, and the index after it."""
-        match = _LENGTH_RE.match(text, i)
-        digits, slashes, below = match.groups()
-        where = {"line": line_no, "column": i + 1, "rule_id": "abc.parse"}
-        numerator = _number(digits, **where) if digits else 1
-        if below and len(slashes) > 1:
-            raise ParseError("malformed duration", **where)
-        denominator = _number(below, **where) if below else 2 ** len(slashes)
-        if numerator == 0 or denominator == 0:
-            raise ParseError("duration must be positive", **where)
-        unit_num, unit_den = self._unit_beats
-        return beats_to_ticks(
-            unit_num * numerator, unit_den * denominator, line=line_no,
-            column=event_column, rule_id="abc.duration_resolution"), match.end()
+def _scan_pitch(text: str, i: int, line_no: int,
+                key_shift: dict[str, int]) -> tuple[int, int]:
+    match = _PITCH_RE.match(text, i)
+    if not match:
+        raise _error("accidental must be followed by a note letter",
+                     line_no, i)
+    accidental, letter, marks = match.groups()
+    semitones = ((72 if letter.islower() else 60)
+                 + LETTER_SEMITONES[letter.upper()]
+                 + 12 * (marks.count("'") - marks.count(","))
+                 + (_ACCIDENTALS[accidental] if accidental
+                    else key_shift.get(letter.upper(), 0)))
+    try:
+        return check_midi(semitones), match.end()
+    except PitchError as exc:
+        raise ParseError(
+            str(exc), line=line_no, column=i + 1,
+            rule_id="abc.pitch_range") from None
+
+
+def _scan_duration(text: str, i: int, line_no: int, event_column: int,
+                   unit_beats: tuple[int, int]) -> tuple[int, int]:
+    """The duration in ticks of the event at ``event_column`` whose
+    length multiplier starts at ``i``, and the index after it."""
+    match = _LENGTH_RE.match(text, i)
+    digits, slashes, below = match.groups()
+    where = {"line": line_no, "column": i + 1, "rule_id": "abc.parse"}
+    numerator = _number(digits, **where) if digits else 1
+    if below and len(slashes) > 1:
+        raise _error("malformed duration", line_no, i)
+    denominator = _number(below, **where) if below else 2 ** len(slashes)
+    if numerator == 0 or denominator == 0:
+        raise _error("duration must be positive", line_no, i)
+    unit_num, unit_den = unit_beats
+    return beats_to_ticks(
+        unit_num * numerator, unit_den * denominator, line=line_no,
+        column=event_column, rule_id="abc.duration_resolution"), match.end()
 
 
 def parse_abc(text: str,
@@ -372,7 +321,7 @@ def parse_abc(text: str,
         unit = Fraction(num, den)
     else:
         unit = default_unit_length(meter)
-    measures, final_barline = _BodyParser(body, key_name, unit).run()
+    measures, final_barline = _parse_body(body, key_name, unit)
     return ScoreDoc(
         format=NotationFormat.ABC_STAFF,
         key=key,

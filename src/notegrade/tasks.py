@@ -25,12 +25,12 @@ from .errors import ConfigError
 from .pitch import STANDARD_TUNING, KeySignature, Tuning
 from .projection import (
     DEFAULT_GRID,
-    CanonicalSequence,
     project,
     project_ground_truth,
     quantize_durations,
 )
-from .score import GroundTruth, NotationFormat, ScoreDoc, TimeSignature
+from .score import (FormatVerdict, GroundTruth, NotationFormat, ScoreDoc,
+                    TimeSignature)
 
 
 class Task(enum.Enum):
@@ -173,13 +173,29 @@ def _rejection(sample_id: str, task: Task, fmt: NotationFormat,
 
 
 def _conversion_result(sample_id: str, task: Task, gt: GroundTruth,
-                       doc: ScoreDoc, gt_seq: CanonicalSequence,
-                       pred_seq: CanonicalSequence, fmt: NotationFormat,
-                       legal: bool, weights: MetricWeights, grid: Fraction,
-                       extra_diagnostics: tuple[str, ...] = ()) -> TaskResult:
+                       verdict: FormatVerdict, fmt: NotationFormat,
+                       weights: MetricWeights, grid: Fraction,
+                       length_cap: int | None = None) -> TaskResult:
+    """Score the document of ``verdict`` against ``gt``; reject it when
+    there is none, and exclude it from aggregation when it has more than
+    ``length_cap`` times the reference's pitch tokens."""
+    diagnostics = [f"{v.rule_id}: {v.message}" for v in verdict.violations]
+    doc = verdict.doc
+    if doc is None:
+        diagnostics.append(f"unparseable: {verdict.error}")
+        return _rejection(sample_id, task, fmt, tuple(diagnostics))
+    gt_seq, pred_seq = project_ground_truth(gt), project(doc)
+    if length_cap is not None:
+        pred_len = len(pred_seq.pitch_tokens)
+        gt_len = max(len(gt_seq.pitch_tokens), 1)
+        if pred_len > length_cap * gt_len:
+            diagnostics.append(f"excluded: {pred_len} pitch tokens against "
+                               f"{gt_len} reference (cap {length_cap}x)")
+            return TaskResult(
+                sample_id=sample_id, task=task, valid=False,
+                fmt_legal=verdict.legal, diagnostics=tuple(diagnostics))
     acc_pitch = alignment_accuracy(gt_seq.pitch_tokens, pred_seq.pitch_tokens)
     acc_duration = duration_value = None
-    diagnostics = list(extra_diagnostics)
     if fmt is not NotationFormat.ASCII_TAB:
         acc_duration = alignment_accuracy(
             quantize_durations(gt_seq.durations, grid),
@@ -191,10 +207,11 @@ def _conversion_result(sample_id: str, task: Task, gt: GroundTruth,
         if doc.meter.text != gt.meter.text:
             diagnostics.append(
                 f"meter mismatch: wrote {doc.meter.text}, expected {gt.meter.text}")
-    hybrid = hybrid_score(acc_pitch.value, duration_value, legal, weights)
+    hybrid = hybrid_score(acc_pitch.value, duration_value, verdict.legal,
+                          weights)
     return TaskResult(
         sample_id=sample_id, task=task, acc_pitch=acc_pitch,
-        acc_duration=acc_duration, fmt_legal=legal, hybrid=hybrid,
+        acc_duration=acc_duration, fmt_legal=verdict.legal, hybrid=hybrid,
         diagnostics=tuple(diagnostics))
 
 
@@ -211,17 +228,11 @@ def score_cnc(sample_id: str, gt: GroundTruth, prediction: str,
     that still parses, with the legality component lost.
     """
     verdict = validate_format(target_format, prediction, tuning)
-    diagnostics = tuple(
-        f"{v.rule_id}: {v.message}" for v in verdict.violations)
     if not verdict.legal and not lenient:
-        return _rejection(sample_id, Task.CNC, target_format, diagnostics)
-    doc = verdict.doc
-    if doc is None:
-        return _rejection(sample_id, Task.CNC, target_format,
-                          diagnostics + (f"unparseable: {verdict.error}",))
-    return _conversion_result(
-        sample_id, Task.CNC, gt, doc, project_ground_truth(gt), project(doc),
-        target_format, verdict.legal, weights, grid, diagnostics)
+        return _rejection(sample_id, Task.CNC, target_format, tuple(
+            f"{v.rule_id}: {v.message}" for v in verdict.violations))
+    return _conversion_result(sample_id, Task.CNC, gt, verdict,
+                              target_format, weights, grid)
 
 
 def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
@@ -237,26 +248,9 @@ def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
     ``length_cap`` optionally excludes degenerate outputs more than
     cap-times longer than the reference from aggregation.
     """
-    verdict = validate_format(fmt, prediction, tuning)
-    diagnostics = tuple(
-        f"{v.rule_id}: {v.message}" for v in verdict.violations)
-    doc = verdict.doc
-    if doc is None:
-        return _rejection(sample_id, Task.AST, fmt,
-                          diagnostics + (f"unparseable: {verdict.error}",))
-    gt_seq, pred_seq = project_ground_truth(gt), project(doc)
-    if length_cap is not None:
-        pred_len = len(pred_seq.pitch_tokens)
-        gt_len = max(len(gt_seq.pitch_tokens), 1)
-        if pred_len > length_cap * gt_len:
-            return TaskResult(
-                sample_id=sample_id, task=Task.AST, valid=False,
-                fmt_legal=verdict.legal,
-                diagnostics=diagnostics + (
-                    f"excluded: {pred_len} pitch tokens against {gt_len} "
-                    f"reference (cap {length_cap}x)",))
-    return _conversion_result(sample_id, Task.AST, gt, doc, gt_seq, pred_seq,
-                              fmt, verdict.legal, weights, grid, diagnostics)
+    return _conversion_result(sample_id, Task.AST, gt,
+                              validate_format(fmt, prediction, tuning), fmt,
+                              weights, grid, length_cap)
 
 
 def smg_rules(doc: ScoreDoc,

@@ -158,6 +158,46 @@ def test_score_bad_grid_flag(tmp_path, capsys):
     capsys.readouterr()
 
 
+# Fraction() alone takes any Unicode digit and "_" between digits.
+@pytest.mark.parametrize("flag, value", [
+    ("--grid", "\u0661/\u0664"), ("--grid", "1/1_6"),
+    ("--weights", "\u0660.\u0665,0.3,0.2"), ("--weights", "0.5,0.3,0.2_0"),
+])
+def test_score_number_flags_take_ascii_only(tmp_path, capsys, flag, value):
+    gt = _write(tmp_path / "gt.json", json.dumps(SCALE_GT))
+    pred = _write(tmp_path / "pred.abc", SCALE_ABC)
+    assert main(["score", "--task", "cnc", "--format", "staff",
+                 "--gt", gt, "--pred", pred, flag, value]) == 1
+    assert "malformed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0.2_5,0.25,0.25,0.25",
+                                   "\u0661,0,0,0"])
+def test_batch_lambda_flag_takes_ascii_only(tmp_path, capsys, value):
+    _write(tmp_path / "pred.txt", "b")
+    manifest = _write(tmp_path / "m.jsonl", json.dumps(
+        {"id": "v1", "task": "vsu", "format": "staff",
+         "pred_path": "pred.txt", "answer": "b"}) + "\n")
+    assert main(["batch", "--manifest", manifest,
+                 "--out", str(tmp_path / "r.json"), "--lambda", value]) == 1
+    assert "malformed task weights" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("grid", "\u0661/\u0664"), ("weights", "\u0660.\u0665,0.3,0.2"),
+    ("lambda", "0.2_5,0.25,0.25,0.25"),
+])
+def test_config_file_numbers_take_ascii_only(tmp_path, monkeypatch, capsys,
+                                             key, value):
+    cfg = _write(tmp_path / "cfg.json", json.dumps({key: value}))
+    monkeypatch.setenv("NOTEGRADE_CONFIG", cfg)
+    gt = _write(tmp_path / "gt.json", json.dumps(SCALE_GT))
+    pred = _write(tmp_path / "pred.abc", SCALE_ABC)
+    assert main(["score", "--task", "cnc", "--format", "staff",
+                 "--gt", gt, "--pred", pred]) == 1
+    assert "malformed" in capsys.readouterr().err
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["score", "--task", "tuning-fork"]) == 1

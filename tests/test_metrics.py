@@ -128,7 +128,9 @@ def test_weights_parse_decimal_strings_exactly():
 
 
 @pytest.mark.parametrize("text", ["0.5,0.5", "0.5,0.4,0.2", "a,b,c",
-                                  "0.5,0.3,0.2,0", "-0.1,0.9,0.2"])
+                                  "0.5,0.3,0.2,0", "-0.1,0.9,0.2",
+                                  "\u0660.\u0665,0.3,0.2", "0.5,0.3,0.2_0",
+                                  "0.5,0.3,0.\uff12"])
 def test_weights_rejects_bad_input(text):
     with pytest.raises(ConfigError):
         MetricWeights.parse(text)

@@ -279,6 +279,13 @@ def test_capability_weights_validation():
     assert parsed.vsu == Fraction(2, 5)
 
 
+@pytest.mark.parametrize("text", ["0.2_5,0.25,0.25,0.25",
+                                  "\u0661/4,1/4,1/4,1/4"])
+def test_capability_weights_take_ascii_numbers_only(text):
+    with pytest.raises(ConfigError, match="malformed task weights"):
+        CapabilityWeights.parse(text)
+
+
 @pytest.mark.parametrize("weights", [
     (0.25, 0.25, 0.25, 0.25), (True, False, False, False),
     (Fraction(1, 4), Fraction(1, 4), Fraction(1, 4), 0.25)])
