@@ -19,7 +19,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConfigError, NotegradeError, ParseError, SchemaError
+from .errors import (ConfigError, NotegradeError, ParseError, SchemaError,
+                     json_object, read_input)
 from .harness import (
     EvalConfig,
     SampleRecord,
@@ -54,21 +55,9 @@ def _load_env_config() -> dict:
     path = os.environ.get(ENV_CONFIG_VAR)
     if not path:
         return {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {ENV_CONFIG_VAR} file: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:
-        raise ConfigError(f"{ENV_CONFIG_VAR} file is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{ENV_CONFIG_VAR} file must hold a JSON object")
-    unknown = set(obj) - _ENV_KEYS
-    if unknown:
-        raise ConfigError(
-            f"{ENV_CONFIG_VAR} file has unknown keys {sorted(unknown)}")
-    return obj
+    what = f"{ENV_CONFIG_VAR} file"
+    return json_object(read_input(path, what, ConfigError), what, ConfigError,
+                       known=_ENV_KEYS, decode=True)
 
 
 def _parse_grid(text: str) -> Fraction:
@@ -102,25 +91,11 @@ def _build_config(env: dict, weights_flag: str | None = None,
                       ast_length_cap=env.get("ast_length_cap"))
 
 
-def _read_text(path: str, side: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8", errors="replace")
-    except OSError as exc:
-        if side == "benchmark":
-            raise SchemaError(f"cannot read {path}: {exc}") from None
-        raise ConfigError(f"cannot read {path}: {exc}") from None
-
-
 def _load_smg_declaration(path: str) -> tuple[KeySignature, TimeSignature]:
-    text = _read_text(path, "benchmark")
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:
-        raise SchemaError(f"{path} is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict) or not isinstance(obj.get("key"), str) \
-            or not isinstance(obj.get("meter"), str):
-        raise SchemaError(
-            f"{path} must hold an object with string 'key' and 'meter'")
+    obj = json_object(read_input(path, path, SchemaError), path, SchemaError,
+                      required={"key", "meter"}, decode=True)
+    if not isinstance(obj["key"], str) or not isinstance(obj["meter"], str):
+        raise SchemaError(f"{path}: 'key' and 'meter' must be strings")
     try:
         return KeySignature.parse(obj["key"]), TimeSignature.parse(obj["meter"])
     except ParseError as exc:
@@ -135,11 +110,13 @@ def _cmd_score(args: argparse.Namespace, env: dict) -> int:
     config = _build_config(env, weights_flag=args.weights, grid_flag=args.grid)
     task = Task.parse(args.task)
     fmt = NotationFormat.parse(args.format)
-    prediction = _read_text(args.pred, "prediction")
+    prediction = read_input(args.pred, args.pred, ConfigError, model=True)
     sample_id = Path(args.pred).stem
     gt = answer = key = meter = None
     if task is Task.VSU:
-        answer = _read_text(args.gt, "benchmark")
+        answer = read_input(args.gt, args.gt, SchemaError)
+        if not answer:
+            raise SchemaError(f"vsu answer {args.gt} is empty")
     elif task is Task.SMG:
         key, meter = _load_smg_declaration(args.gt)
     else:
@@ -170,7 +147,7 @@ def _cmd_batch(args: argparse.Namespace, env: dict) -> int:
 def _cmd_validate(args: argparse.Namespace, env: dict) -> int:
     config = _build_config(env)
     fmt = NotationFormat.parse(args.format)
-    text = _read_text(args.input, "prediction")
+    text = read_input(args.input, args.input, ConfigError, model=True)
     verdict = validate_format(fmt, text, config.tuning)
     _print_json(verdict.to_json_dict())
     return 0
@@ -188,7 +165,7 @@ def _cmd_project(args: argparse.Namespace, env: dict) -> int:
         _print_json(out)
         return 0
     fmt = NotationFormat.parse(args.format)
-    text = _read_text(args.input, "prediction")
+    text = read_input(args.input, args.input, ConfigError, model=True)
     try:
         if fmt is NotationFormat.JIANPU and args.key is not None:
             from .parsers.jianpu import parse_jianpu

@@ -1,11 +1,17 @@
-"""Exception taxonomy.
+"""Exception taxonomy, and the one reader of files from outside.
 
 The split matters operationally: model-side failures (bad predictions) must
 never escape as exceptions from scoring, while benchmark-side failures
 (corrupt ground truth, bad manifests, bad config) must abort loudly.
+``read_input`` and ``json_object`` make that split for every file the
+package reads: how its bytes become text or a JSON object, and which
+error a flaw raises.
 """
 
 from __future__ import annotations
+
+import json
+import os
 
 
 class NotegradeError(Exception):
@@ -48,3 +54,45 @@ class SchemaError(NotegradeError):
 
 class ConfigError(NotegradeError):
     """Invalid weights, grid, tuning, or other configuration."""
+
+
+def read_input(path: str | os.PathLike, what: str = "",
+               error: type[NotegradeError] | None = None, *,
+               model: bool = False) -> str:
+    """The text of the file at ``path``: UTF-8, line endings as written.
+
+    Benchmark and config files are decoded strictly, and one that cannot
+    be read or decoded raises ``error("cannot read <what>: ...")``. Model
+    output (``model``) reads bad bytes as U+FFFD; with no ``error`` its
+    ``OSError`` goes to the caller.
+    """
+    try:
+        with open(path, encoding="utf-8", newline="",
+                  errors="replace" if model else "strict") as handle:
+            return handle.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        if error is None:
+            raise
+        raise error(f"cannot read {what}: {exc}") from None
+
+
+def json_object(value: object, what: str, error: type[NotegradeError], *,
+                known=None, required=frozenset(), decode=False) -> dict:
+    """``value`` (with ``decode``, the JSON text ``value`` holds) if it is a
+    JSON object with only the keys in the set ``known`` (any, if None)
+    and every key in the set ``required``; otherwise ``error`` names the
+    first flaw."""
+    if decode:
+        try:
+            value = json.loads(value)
+        except ValueError as exc:  # also an integer past int()'s digit limit
+            raise error(f"{what} is not valid JSON: {exc}") from None
+    if not isinstance(value, dict):
+        raise error(f"{what} must be a JSON object")
+    unknown = set() if known is None else value.keys() - known
+    if unknown:
+        raise error(f"{what} has unknown keys {sorted(unknown)}")
+    missing = required - value.keys()
+    if missing:
+        raise error(f"{what} is missing keys {sorted(missing)}")
+    return value

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from pathlib import Path
 
-from .errors import ConfigError, ParseError, PitchError, SchemaError
+from .errors import (ConfigError, ParseError, PitchError, SchemaError,
+                     json_object, read_input)
 from .metrics import MetricWeights, require_exact
 from .parsers import load_ground_truth
 from .pitch import STANDARD_TUNING, KeySignature, Tuning
@@ -91,13 +92,9 @@ def _require_str(obj: dict, key: str, line: int) -> str:
     return value
 
 
-def _record(obj: object, line: int, base_dir: Path) -> SampleRecord:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"manifest line {line}: record must be an object")
-    unknown = set(obj) - _RECORD_KEYS
-    if unknown:
-        raise SchemaError(
-            f"manifest line {line}: unknown keys {sorted(unknown)}")
+def _record(raw: str, line: int, base_dir: Path) -> SampleRecord:
+    obj = json_object(raw, f"manifest line {line}", SchemaError, decode=True,
+                      known=_RECORD_KEYS)
     sample_id = _require_str(obj, "id", line)
     try:
         task = Task.parse(_require_str(obj, "task", line))
@@ -151,10 +148,7 @@ def _record(obj: object, line: int, base_dir: Path) -> SampleRecord:
 def load_manifest(path: str | Path) -> tuple[SampleRecord, ...]:
     """Read a JSONL manifest; any structural problem is a SchemaError."""
     path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read manifest {path}: {exc}") from None
+    text = read_input(path, f"manifest {path}", SchemaError)
     base_dir = path.parent
     records = []
     seen: set[str] = set()
@@ -163,12 +157,7 @@ def load_manifest(path: str | Path) -> tuple[SampleRecord, ...]:
     for line_no, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
-        try:
-            obj = json.loads(raw)
-        except ValueError as exc:
-            raise SchemaError(
-                f"manifest line {line_no}: invalid JSON: {exc}") from None
-        record = _record(obj, line_no, base_dir)
+        record = _record(raw, line_no, base_dir)
         if record.id in seen:
             raise SchemaError(
                 f"manifest line {line_no}: duplicate sample id {record.id!r}")
@@ -184,25 +173,13 @@ def load_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
 
     Scores live on a 1-5 scale; anything outside it is corrupt input.
     """
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read external scores {path}: {exc}") from None
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:
-        raise SchemaError(f"external scores: invalid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise SchemaError("external scores must be a JSON object keyed by id")
+    what = f"external scores {path}"
+    obj = json_object(read_input(path, what, SchemaError), what, SchemaError,
+                      decode=True)
     out: dict[str, dict[str, float]] = {}
     for sample_id, entry in obj.items():
-        if not isinstance(entry, dict):
-            raise SchemaError(f"external scores for {sample_id!r} must be an object")
-        unknown = set(entry) - {"aesthetic", "fingering"}
-        if unknown:
-            raise SchemaError(
-                f"external scores for {sample_id!r} have unknown keys "
-                f"{sorted(unknown)}")
+        entry = json_object(entry, f"external scores for {sample_id!r}",
+                            SchemaError, known={"aesthetic", "fingering"})
         if not entry:
             raise SchemaError(f"external scores for {sample_id!r} are empty")
         cleaned = {}
@@ -215,13 +192,6 @@ def load_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
             cleaned[name] = float(value)
         out[sample_id] = cleaned
     return out
-
-
-def _read_prediction(path: Path) -> tuple[str, tuple[str, ...]]:
-    try:
-        return path.read_text(encoding="utf-8", errors="replace"), ()
-    except OSError as exc:
-        return "", (f"prediction unreadable, scored as empty: {exc}",)
 
 
 def score_text(record: SampleRecord, config: EvalConfig,
@@ -249,7 +219,11 @@ def score_text(record: SampleRecord, config: EvalConfig,
 def score_sample(record: SampleRecord, config: EvalConfig,
                  gt: GroundTruth | None) -> TaskResult:
     """Score one sample; ground truth, when needed, is loaded by the caller."""
-    prediction, diagnostics = _read_prediction(record.pred_path)
+    try:
+        prediction, diagnostics = read_input(record.pred_path, model=True), ()
+    except OSError as exc:
+        prediction = ""
+        diagnostics = (f"prediction unreadable, scored as empty: {exc}",)
     result = score_text(record, config, gt, prediction)
     if diagnostics:
         result = replace(result, diagnostics=diagnostics + result.diagnostics)

@@ -18,13 +18,12 @@ frame; an empty list is a rest.
 
 from __future__ import annotations
 
-import json
 import re
 import sys
 from fractions import Fraction
 from pathlib import Path
 
-from ..errors import ParseError, SchemaError
+from ..errors import ParseError, SchemaError, json_object, read_input
 from ..pitch import MIDI_MAX, MIDI_MIN, KeySignature
 from ..score import GroundTruth, GroundTruthEvent, NotationFormat, TimeSignature
 
@@ -51,14 +50,8 @@ def _beats(value: object, field: str, index: int) -> Fraction:
 
 
 def _event(obj: object, index: int) -> GroundTruthEvent:
-    if not isinstance(obj, dict):
-        raise SchemaError(f"events[{index}] must be an object")
-    unknown = set(obj) - _EVENT_KEYS
-    if unknown:
-        raise SchemaError(f"events[{index}] has unknown keys {sorted(unknown)}")
-    missing = _EVENT_KEYS - set(obj)
-    if missing:
-        raise SchemaError(f"events[{index}] is missing keys {sorted(missing)}")
+    obj = json_object(obj, f"events[{index}]", SchemaError,
+                      known=_EVENT_KEYS, required=_EVENT_KEYS)
     onset = _beats(obj["onset_beats"], "onset_beats", index)
     duration = _beats(obj["duration_beats"], "duration_beats", index)
     if duration <= 0:
@@ -88,18 +81,9 @@ def _text_field(obj: dict, name: str, parse):
 
 def parse_ground_truth(text: str) -> GroundTruth:
     """Parse a ground-truth JSON document, raising SchemaError on any flaw."""
-    try:
-        obj = json.loads(text)
-    except ValueError as exc:  # also an integer past int()'s digit limit
-        raise SchemaError(f"ground truth is not valid JSON: {exc}") from None
-    if not isinstance(obj, dict):
-        raise SchemaError("ground truth must be a JSON object")
-    unknown = set(obj) - _TOP_LEVEL_KEYS
-    if unknown:
-        raise SchemaError(f"ground truth has unknown keys {sorted(unknown)}")
-    missing = _TOP_LEVEL_KEYS - {"tempo_bpm"} - set(obj)
-    if missing:
-        raise SchemaError(f"ground truth is missing keys {sorted(missing)}")
+    obj = json_object(text, "ground truth", SchemaError, decode=True,
+                      known=_TOP_LEVEL_KEYS,
+                      required=_TOP_LEVEL_KEYS - {"tempo_bpm"})
 
     sample_id = obj["id"]
     if not isinstance(sample_id, str) or not sample_id:
@@ -132,8 +116,5 @@ def parse_ground_truth(text: str) -> GroundTruth:
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
     """Load and parse a ground-truth file; unreadable files are SchemaErrors."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise SchemaError(f"cannot read ground truth {path}: {exc}") from None
-    return parse_ground_truth(text)
+    return parse_ground_truth(
+        read_input(path, f"ground truth {path}", SchemaError))

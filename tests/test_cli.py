@@ -15,6 +15,13 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 SCALE_ABC = "X:1\nM:4/4\nL:1/4\nK:C\nC D E F|G A B c|]\n"
 
+SCALE_TAB = ("e|----0-1-|3-5-7-8-|\n"
+             "B|1-3-----|--------|\n"
+             "G|--------|--------|\n"
+             "D|--------|--------|\n"
+             "A|--------|--------|\n"
+             "E|--------|--------|\n")
+
 SCALE_GT = {
     "id": "cnc-1",
     "format": "staff",
@@ -148,6 +155,27 @@ def test_score_corrupt_ground_truth_is_benchmark_error(tmp_path, capsys):
                  "--gt", gt, "--pred", pred])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("task, fmt", [("vsu", "staff"), ("smg", "staff")])
+def test_score_undecodable_answer_or_declaration_is_benchmark_error(
+        tmp_path, capsys, task, fmt):
+    gt = tmp_path / "gt.txt"
+    gt.write_bytes(b'{"key": "C", "meter": "4/4"}\xff' if task == "smg"
+                   else b"b\xff")
+    pred = _write(tmp_path / "pred.abc", SCALE_ABC)
+    assert main(["score", "--task", task, "--format", fmt,
+                 "--gt", str(gt), "--pred", pred]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {gt}")
+
+
+def test_score_empty_vsu_answer_is_benchmark_error(tmp_path, capsys):
+    # As in a manifest row, where "answer": "" exits 2.
+    gt = _write(tmp_path / "answer.txt", "")
+    pred = _write(tmp_path / "pred.txt", "The answer is (B).")
+    assert main(["score", "--task", "vsu", "--format", "staff",
+                 "--gt", gt, "--pred", pred]) == 2
+    assert "empty" in capsys.readouterr().err
 
 
 def test_score_bad_grid_flag(tmp_path, capsys):
@@ -400,6 +428,17 @@ def test_env_config_unreadable(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_env_config_undecodable(tmp_path, monkeypatch, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_bytes(b"\xff\xfe{}")
+    monkeypatch.setenv("NOTEGRADE_CONFIG", str(cfg))
+    path = _write(tmp_path / "tune.abc", SCALE_ABC)
+    assert main(["validate", "--format", "staff", "--input", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read NOTEGRADE_CONFIG file")
+    assert "Traceback" not in err
+
+
 def test_overlong_integer_in_config_file_is_a_config_error(
         tmp_path, monkeypatch, capsys):
     cfg = _write(tmp_path / "cfg.json", '{"workers": ' + "7" * 5000 + "}")
@@ -474,3 +513,45 @@ def test_console_script_installed(tmp_path):
             env=run_env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["legal"] is True
+
+
+# One legal prediction in each format, and one with a flaw in its last
+# line, each over several lines that end in "\n".
+_LINE_END_PREDICTIONS = {
+    "staff": ("X:1\nM:4/4\nL:1/4\nK:C\nC D E F|\nG A B c|]\n",
+              "X:1\nM:4/4\nL:1/4\nK:C\nC D E F|\nG A B c$|]\n"),
+    "jianpu": ("1=C 4/4\n1 2 3 4 |\n5 6 7 1' |\n",
+               "1=C 4/4\n1 2 3 4 |\n5 6 9 1' |\n"),
+    "tab": (SCALE_TAB, SCALE_TAB.replace("E|--------|--------|",
+                                         "E|--------|-----|")),
+}
+
+
+@pytest.mark.parametrize("end", ["\r\n", "\r"])
+@pytest.mark.parametrize("fmt", sorted(_LINE_END_PREDICTIONS))
+def test_predictions_score_alike_whatever_their_line_ends(tmp_path, capsys,
+                                                          fmt, end):
+    _write(tmp_path / "gt.json", json.dumps(dict(SCALE_GT, format=fmt)))
+    verdicts, rows = {}, []
+    for n, text in enumerate(_LINE_END_PREDICTIONS[fmt]):
+        for ending in ("\n", end):
+            name = f"{n}-{ending.encode().hex()}"
+            (tmp_path / name).write_bytes(text.replace("\n", ending).encode())
+            assert main(["validate", "--format", fmt,
+                         "--input", str(tmp_path / name)]) == 0
+            verdicts[name] = _out_json(capsys)
+            rows.append({"id": name, "task": "ast", "format": fmt,
+                         "pred_path": name, "gt_path": "gt.json"})
+    manifest = _write(tmp_path / "m.jsonl",
+                      "".join(json.dumps(row) + "\n" for row in rows))
+    out = tmp_path / "report.json"
+    assert main(["batch", "--manifest", manifest, "--out", str(out)]) == 0
+    capsys.readouterr()
+    entries = {entry.pop("sample_id"): entry for entry in
+               json.loads(out.read_text(encoding="utf-8"))["per_sample"]}
+    lf, other = "0a", end.encode().hex()
+    for n in range(2):
+        assert verdicts[f"{n}-{other}"] == verdicts[f"{n}-{lf}"]
+        assert entries[f"{n}-{other}"] == entries[f"{n}-{lf}"]
+    assert [verdicts[f"{n}-{lf}"]["legal"] for n in range(2)] == [True, False]
+    assert entries[f"1-{lf}"]["diagnostics"]

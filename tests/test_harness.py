@@ -84,6 +84,26 @@ def test_load_manifest_skips_blank_lines(tmp_path):
     assert len(load_manifest(manifest)) == 4
 
 
+def test_load_manifest_reads_crlf_rows_and_blank_crlf_lines(tmp_path):
+    manifest = _full_fixture(tmp_path)
+    rows = manifest.read_text(encoding="utf-8").replace("\n", "\r\n")
+    manifest.write_bytes(("\r\n" + rows + "\r\n").encode())
+    assert [r.id for r in load_manifest(manifest)] == [
+        "vsu-1", "cnc-1", "ast-1", "smg-1"]
+
+
+def test_load_manifest_does_not_end_a_row_at_a_lone_cr(tmp_path):
+    # JSON Lines rows end at "\n": two objects joined by "\r" are one
+    # row, and not valid JSON.
+    manifest = _full_fixture(tmp_path)
+    rows = manifest.read_text(encoding="utf-8").rstrip("\n")
+    manifest.write_bytes(rows.replace("\n", "\r").encode())
+    with pytest.raises(SchemaError, match="manifest line 1 is not valid JSON"):
+        load_manifest(manifest)
+    assert main(["batch", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "report.json")]) == 2
+
+
 @pytest.mark.parametrize("row,fragment", [
     ({"task": "vsu", "format": "staff", "pred_path": "p", "answer": "a"},
      "id"),
@@ -249,7 +269,7 @@ def test_load_manifest_overlong_integer_is_schema_error(tmp_path):
         '{"id": "t1", "task": "smg", "format": "tab", "pred_path": "p.tab", '
         '"declared_key": "C", "declared_meter": "4/4", '
         '"tuning": [' + "6" * 5000 + ', 59, 55, 50, 45, 40]}\n')
-    with pytest.raises(SchemaError, match="invalid JSON"):
+    with pytest.raises(SchemaError, match="not valid JSON"):
         load_manifest(manifest)
 
 
