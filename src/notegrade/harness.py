@@ -8,6 +8,7 @@ every run, samples ordered by id. Samples are scored one at a time:
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 from dataclasses import dataclass, field, replace
@@ -376,29 +377,29 @@ def run_batch(records: tuple[SampleRecord, ...],
                   external=external, warnings=tuple(warnings))
 
 
-def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
-
-
 def write_report(report: Report, out_path: str | Path,
                  csv_path: str | Path | None = None) -> None:
     """Serialize the report as canonical JSON, plus an optional CSV of the
-    task-by-format table."""
+    task-by-format table. Both go to temporary files before either is put
+    in place, so a failed write leaves no report; it is a ConfigError."""
     data = report.to_json_dict()
-    _atomic_write(Path(out_path),
-                  json.dumps(data, sort_keys=True, indent=2) + "\n")
-    if csv_path is None:
-        return
-    csv_path = Path(csv_path)
-    rows = data["per_task_format"]
-    tmp = csv_path.with_name(csv_path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle)
+    texts = {Path(out_path): json.dumps(data, sort_keys=True, indent=2) + "\n"}
+    if csv_path is not None:
+        table = io.StringIO()
+        writer = csv.writer(table)
         writer.writerow(["task", "format", "count", "invalid_count", "mean"])
-        for row in rows:
+        for row in data["per_task_format"]:
             mean = "" if row["mean"] is None else f"{row['mean']:.6f}"
             writer.writerow([row["task"], row["format"], row["count"],
                              row["invalid_count"], mean])
-    os.replace(tmp, csv_path)
+        texts[Path(csv_path)] = table.getvalue()
+    temps = {path: path.with_name(path.name + ".tmp") for path in texts}
+    try:
+        for path, text in texts.items():
+            temps[path].write_text(text, encoding="utf-8", newline="")
+        for path, tmp in temps.items():
+            os.replace(tmp, path)
+    except OSError as exc:
+        for tmp in temps.values():
+            tmp.unlink(missing_ok=True)
+        raise ConfigError(f"cannot write {path}: {exc}") from None

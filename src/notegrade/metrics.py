@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Hashable, Sequence
 
 from .errors import ConfigError
@@ -51,24 +52,21 @@ def _token_masks(long: Sequence[Hashable],
     one; a token without one occurs nowhere in ``long``.
 
     Up to ``_SHORT`` tokens, bit by bit. Beyond, in time linear in
-    ``len(long)`` per 255 distinct tokens: each distinct object of
-    ``long`` is hashed once, ``long`` is written backwards as one byte
-    per token (its code among the tokens sought, 0 for none), and each
-    token's mask is that row read as a base-2 numeral, with "1" where
-    its code stands and "0" elsewhere.
+    ``len(long)`` per 255 distinct tokens: ``long`` is written backwards
+    as one byte per token (its code among the tokens sought, 0 for
+    none), and each token's mask is that row read as a base-2 numeral,
+    with "1" where its code stands and "0" elsewhere. Every token of
+    ``long`` is hashed once per row.
     """
     masks: dict[Hashable, int] = {}
     if len(long) <= _SHORT:
         for i, token in enumerate(long):
             masks[token] = masks.get(token, 0) | 1 << i
         return masks
-    items = list(reversed(long))  # holds each object, so its id is fixed
-    objects = dict(zip(map(id, items), items))
     distinct = list(dict.fromkeys(short))
     for first in range(0, len(distinct), 255):
         code = dict(zip(distinct[first:first + 255], range(1, 256)))
-        code_of = {key: code.get(token, 0) for key, token in objects.items()}
-        row = bytes(map(code_of.__getitem__, map(id, items)))
+        row = bytes(map(code.get, reversed(long), repeat(0)))
         for token, k in code.items():
             masks[token] = int(row.translate(_DIGIT_TABLES[k]), 2)
     return masks

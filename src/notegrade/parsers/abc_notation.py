@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice, takewhile
 
 from ..errors import ParseError, PitchError
 from ..pitch import LETTER_SEMITONES, KeySignature, check_midi, sort_chord
@@ -145,10 +146,10 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
     Each line is read item by item (``_ITEM_RE``), and each distinct note
     or rest text is resolved once. Every measure starts in the same
     state, so the measure written as each distinct text from a line start
-    or a barline to the next barline is built once: it is looked up
-    before that text is read, and kept when the barline closes it. A text
-    that raises is not kept, and a measure that spans lines is read item
-    by item.
+    or a barline to the next barline is built once: kept when the barline
+    closes it, and then taken, with the run of kept texts after it, by
+    lookups into the line's parts between barlines. A text that raises is
+    not kept, and a measure that spans lines is read item by item.
     """
     key_shift = key_signature_accidentals(key_name)
     unit_beats = (unit.numerator * 4, unit.denominator)
@@ -160,15 +161,28 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
     onset = 0
     finished = False
     for line_no, text in body:
-        i, key = 0, None
+        parts = text.split("|")
+        bars = len(parts) - 1
+        # k counts the "|" before i: a measure starting at i is written
+        # as parts[k], up to the next barline if k < bars.
+        i, k, key = 0, 0, None
         while i < len(text):
             memo = None
             if not pending and not finished:
-                end = text.find("|", i)
-                key = text[i:end] if end != -1 else None
-                memo = measure_of.get(key)
-                if memo is not None:
-                    i = end
+                key = parts[k] if k < bars else None
+                if key in measure_of:
+                    # A miss is None. The run ends past its last "|", or
+                    # at it if "||" or "|]" begins there, to be read below.
+                    hits = list(takewhile(
+                        bool, map(measure_of.get, islice(parts, k, bars))))
+                    n = len(hits)
+                    measures += hits
+                    i += n + sum(map(len, islice(parts, k, k + n)))
+                    k += n
+                    if parts[k][:1] != "]" and (parts[k] or k == bars):
+                        continue
+                    memo = measures.pop()
+                    i, k = i - 1, k - 1
             item = _ITEM_RE.match(text, i)
             if item is None:
                 break
@@ -196,6 +210,7 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
                     raise _error("empty measure", line_no, start)
                 pending, onset = [], 0
                 finished = item[kind] == "|]"
+                k += len(item[kind])
                 continue
             elif kind == _TIE:
                 # A tied last event means the item before was a tie too.
@@ -204,8 +219,7 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
                 last = pending[-1]
                 if last.is_rest:
                     raise _error("rests cannot be tied", line_no, start)
-                pending[-1] = Event.trusted(
-                    last.onset_ticks, last.duration_ticks, last.pitches, True)
+                pending[-1] = Event.trusted(*last[:3], True)
                 continue
             else:
                 raise _error(f"unexpected character {item[kind]!r}", line_no, start)

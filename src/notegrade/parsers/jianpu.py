@@ -18,6 +18,7 @@ measure it spans.
 from __future__ import annotations
 
 import re
+from itertools import islice, takewhile
 
 from ..errors import ParseError, PitchError
 from ..pitch import JianpuNote, KeySignature, jianpu_to_midi
@@ -27,7 +28,7 @@ from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat,
 _DIRECTIVE_RE = re.compile(r"1=([A-G][#b]?)(?:\s+([0-9]+/[0-9]+))?")
 _TOKEN_RE = re.compile(r"^([0-7])('+|,+)?(_+)?$")
 _WORD_RE = re.compile(r"\S+")
-_BAR_RE = re.compile(r"(?<!\S)\|(?!\S)")
+_BAR_RE = re.compile(r"\|(?!\S)(?<!\S\|)")  # a "|" word
 
 
 def parse_key_directive(line: str,
@@ -46,11 +47,6 @@ def parse_key_directive(line: str,
         raise ParseError(str(exc), line=line_no,
                          rule_id="jianpu.key_directive") from None
     return key, meter
-
-
-def _tied(event: Event) -> Event:
-    return Event.trusted(event.onset_ticks, event.duration_ticks,
-                         event.pitches, True)
 
 
 def _resolve_token(token: str, key: KeySignature, line_no: int,
@@ -113,7 +109,7 @@ def parse_jianpu(text: str,
 
     closed: list[Measure] = []
     pending: list[Event] = []
-    last_was_bar = False
+    bar_seen = False
     # Duration in ticks and pitches of each distinct note or rest token.
     resolved: dict[str, tuple[int, tuple[int, ...]]] = {}
     # The measure built from each distinct measure text (see below).
@@ -126,10 +122,11 @@ def parse_jianpu(text: str,
             # a closed measure is rebuilt, never changed, as it may be shared.
             if pending:
                 last = pending[-1]
-                pending[-1] = _tied(last)
+                pending[-1] = Event.trusted(*last[:3], True)
             elif closed:
                 *held, last = closed[-1].events
-                closed[-1] = Measure.trusted((*held, _tied(last)))
+                closed[-1] = Measure.trusted(
+                    (*held, Event.trusted(*last[:3], True)))
             else:
                 raise ParseError(
                     "dash has no note to continue", line=line_no, column=column,
@@ -143,45 +140,47 @@ def parse_jianpu(text: str,
             if pending else 0
         pending.append(Event.trusted(onset, duration, pitches))
 
+    # A measure between two barlines of one line starts in the same state
+    # wherever it appears, unless a dash opens it, so each distinct text
+    # is read once and kept, and a run of kept texts is taken by lookups
+    # into the line's parts; a text that raises is not kept.
     for line_no, line in lines[directive_idx + 1:]:
-        pos = 0
-        while match := _WORD_RE.search(line, pos):
-            token, start, pos = match[0], match.start(), match.end()
-            if token == "|":
-                if pending:
-                    closed.append(Measure.trusted(tuple(pending)))
-                    pending.clear()
-                elif closed or last_was_bar:
-                    raise ParseError(
-                        "empty measure", line=line_no, column=start + 1,
-                        rule_id="jianpu.measure_bars")
-                last_was_bar = True
-                continue
-            last_was_bar = False
-            bar = None if pending or token == "-" else _BAR_RE.search(line, pos)
-            if bar is None:
-                read(token, line_no, start + 1)
-                continue
-            # A measure from its first token to a barline on the same line
-            # starts in the same state wherever it appears, unless a dash
-            # opens it, so each distinct text is read once; a text that
-            # raises is not kept.
-            written = line[start:bar.start()]
-            measure = measure_of.get(written)
-            if measure is None:
-                for word in _WORD_RE.finditer(line, start, bar.start()):
-                    read(word[0], line_no, word.start() + 1)
-                measure = measure_of[written] = Measure.trusted(tuple(pending))
+        parts = _BAR_RE.split(line)
+        bars = len(parts) - 1
+        k = offset = 0  # parts[k] starts at line[offset]
+        while True:
+            if not pending and k < bars and parts[k].strip() in measure_of:
+                hits = list(takewhile(bool, map(
+                    measure_of.get, map(str.strip, islice(parts, k, bars)))))
+                closed += hits
+                offset += len(hits) + sum(
+                    map(len, islice(parts, k, k + len(hits))))
+                k += len(hits)
+                bar_seen = True
+            part = parts[k]
+            written = part.strip()
+            kept = not pending and not written.startswith("-")
+            if written:
+                for word in _WORD_RE.finditer(part):
+                    read(word[0], line_no, offset + word.start() + 1)
+            if k == bars:
+                break
+            if pending:
+                closed.append(Measure.trusted(tuple(pending)))
+                if kept:
+                    measure_of[written] = closed[-1]
                 pending.clear()
-            closed.append(measure)
-            pos = bar.end()
-            last_was_bar = True
+            elif bar_seen:
+                raise ParseError("empty measure", line=line_no,
+                                 column=offset + len(part) + 1,
+                                 rule_id="jianpu.measure_bars")
+            bar_seen = True
+            offset += len(part) + 1
+            k += 1
 
+    final_barline = not pending
     if pending:
         closed.append(Measure.trusted(tuple(pending)))
-        final_barline = False
-    else:
-        final_barline = last_was_bar
     if not closed:
         raise ParseError("no music after key directive", rule_id="jianpu.parse")
 

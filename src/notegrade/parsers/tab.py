@@ -21,7 +21,6 @@ from ..pitch import (
     KeySignature,
     TabEvent,
     Tuning,
-    sort_chord,
     tab_to_midi,
 )
 from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat, ScoreDoc,
@@ -32,6 +31,8 @@ STRING_LABELS = ("e|", "B|", "G|", "D|", "A|", "E|")
 _BAD_CHAR_RE = re.compile(r"[^0-9|-]")
 _BAR_RE = re.compile(r"\|")
 _RUN_RE = re.compile(r"[0-9]+")
+_FRETLESS = str.maketrans("0123456789", "-" * 10)
+_ZERO_WIDTH = ("",) * 6
 
 
 def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
@@ -67,25 +68,28 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
                 f"character {bad[0]!r} not allowed in tablature", line=line_no,
                 column=bad.start() + 3, rule_id="tab.charset")
 
-    bars = [[m.start() for m in _BAR_RE.finditer(body)] for body in bodies]
-    if any(cols != bars[0] for cols in bars):
-        stray = set().union(*bars).difference(set(bars[0]).intersection(*bars))
+    # With the charset checked, a body less its frets is its barlines.
+    if len({body.translate(_FRETLESS) for body in bodies}) > 1:
+        bars = [{m.start() for m in _BAR_RE.finditer(body)} for body in bodies]
+        stray = set().union(*bars).difference(bars[0].intersection(*bars))
         raise ParseError(
             "barline does not span all six strings",
             line=non_blank[0][0], column=min(stray) + 3,
             rule_id="tab.bar_alignment")
-    bar_cols = bars[0]
 
-    # Each distinct fret run of a string is checked and resolved once, and
-    # an error located at its first run only when there is one, so every
-    # measure below parses cleanly. Fret errors come first, in string
-    # order; then the leftmost pitch error.
+    # A segment between barlines is keyed by its six slices, and no fret
+    # run crosses a barline: each distinct run of a string's distinct
+    # slices is checked and resolved once, and an error located at its first
+    # run only when there is one, so every measure below parses cleanly.
+    # Fret errors come first, in string order; then the leftmost pitch error.
+    segments = list(zip(*(body.split("|") for body in bodies)))
+    distinct = dict.fromkeys(segments)
     midi_of: list[dict[str, int]] = []
     pitch_errors: list[tuple[int, int, str]] = []  # column, string, message
-    for string, ((line_no, _), body) in enumerate(zip(non_blank, bodies),
-                                                 start=1):
+    for string, ((line_no, _), body, pieces) in enumerate(
+            zip(non_blank, bodies, zip(*distinct)), start=1):
         midi, too_high, unplayable = {}, {}, {}
-        for text in set(_RUN_RE.findall(body)):
+        for text in set(_RUN_RE.findall("|".join(pieces))):
             fret = text.lstrip("0") or "0"
             # Compare lengths first: int() refuses very long digit runs.
             if len(fret) > len(str(FRET_MAX)) or int(fret) > FRET_MAX:
@@ -109,26 +113,16 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
         raise ParseError(message, column=column + 3,
                          rule_id="tab.pitch_range")
 
-    # Each segment between barlines is a measure, even a silent one; the
-    # segment after the last barline is one only when it holds notes. The
-    # measure of each distinct segment, its six slices joined, is built
-    # once.
-    measures: list[Measure] = []
-    measure_of: dict[str, Measure] = {}
-    lo = 0
-    for hi in (*bar_cols, width):
-        segment = "\n".join([body[lo:hi] for body in bodies])
-        measure = measure_of.get(segment)
-        if measure is None:
-            measure = _measure(segment, hi - lo + 1, midi_of)
-            measure_of[segment] = measure
-        if measure.events or lo < hi < width:
-            measures.append(measure)
-        lo = hi + 1
-    # The last measure built is the trailing segment's.
-    final_barline = bool(bar_cols) and not measure.events
-
-    if not any(m.events for m in measures):
+    # Each segment is a measure, even a silent one, but one of zero width
+    # is none, and the one after the last barline is one only when it
+    # holds notes. Each distinct segment is built once.
+    measure_of = {segment: _measure(segment, midi_of) for segment in distinct}
+    last = measure_of[segments.pop()]
+    measures = list(map(measure_of.__getitem__,
+                        filter(_ZERO_WIDTH.__ne__, segments)))
+    if last.events:
+        measures.append(last)
+    elif not any(m.events for m in measure_of.values()):
         raise ParseError("tablature contains no notes", rule_id="tab.parse")
 
     return ScoreDoc(
@@ -136,7 +130,7 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
         key=KeySignature.parse("C"),
         meter=TimeSignature(4, 4),
         measures=tuple(measures),
-        final_barline=final_barline,
+        final_barline=bool(segments) and not last.events,
     )
 
 
@@ -145,16 +139,17 @@ def _first_run(body: str, texts: Container[str]) -> re.Match:
     return next(run for run in _RUN_RE.finditer(body) if run[0] in texts)
 
 
-def _measure(segment: str, stride: int,
+def _measure(segment: tuple[str, ...],
              midi_of: list[dict[str, int]]) -> Measure:
-    """The measure on six string slices of ``stride - 1`` columns joined
-    by newlines: fret runs that start in the same column form one frame,
-    and frames are a beat apart."""
-    frames: dict[int, list[int]] = {}
-    for run in _RUN_RE.finditer(segment):
+    """The measure on the six string slices ``segment``: fret runs that
+    start in the same column form one frame, and frames are a beat
+    apart."""
+    frames: dict[int, set[int]] = {}
+    stride = len(segment[0]) + 1
+    for run in _RUN_RE.finditer("|".join(segment)):
         string, column = divmod(run.start(), stride)
-        frames.setdefault(column, []).append(midi_of[string][run[0]])
+        frames.setdefault(column, set()).add(midi_of[string][run[0]])
     return Measure.trusted(tuple(
         Event.trusted(beat * TICKS_PER_BEAT, TICKS_PER_BEAT,
-                      tuple(sort_chord(frames[column])))
+                      tuple(sorted(frames[column])))
         for beat, column in enumerate(sorted(frames))))

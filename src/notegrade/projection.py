@@ -1,13 +1,15 @@
 """Projection of parsed documents onto canonical, format-free sequences.
 
 Two streams come out of a document: pitch tokens (each a strictly
-ascending chord frame, rests omitted) and durations in beats for every
-event, rests included. Tied events merge first, so articulation of one
-long note as tied pieces scores the same as the single note.
+ascending chord frame, rests omitted) and durations for every event,
+rests included. Tied events merge first, so articulation of one long
+note as tied pieces scores the same as the single note. Durations are
+integers, scored in whole grid steps and printed as ``Fraction`` beats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
@@ -19,15 +21,26 @@ from .score import TICKS_PER_BEAT, GroundTruth, ScoreDoc
 
 DEFAULT_GRID = Fraction(1, 4)
 _EVENTS = attrgetter("events")
-_PITCHES = attrgetter("pitches")
-_DURATION_TICKS = attrgetter("duration_ticks")
-_TIED = attrgetter("tied")
 
 
 @dataclass(frozen=True)
 class CanonicalSequence:
+    """Pitch tokens, and durations in ``1/units_per_beat``-beat units."""
+
     pitch_tokens: tuple[tuple[int, ...], ...]
-    durations: tuple[Fraction, ...]
+    duration_units: tuple[int, ...]
+    units_per_beat: int = TICKS_PER_BEAT
+
+    @property
+    def durations(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(units, self.units_per_beat)
+                     for units in self.duration_units)
+
+    def steps(self, grid: Fraction) -> tuple[int, ...]:
+        """Each duration in whole grid steps, as ``quantize_duration``."""
+        step = {units: grid_steps(units, self.units_per_beat, grid)
+                for units in set(self.duration_units)}
+        return tuple(map(step.__getitem__, self.duration_units))
 
 
 def project(doc: ScoreDoc) -> CanonicalSequence:
@@ -36,14 +49,13 @@ def project(doc: ScoreDoc) -> CanonicalSequence:
     An event joins the unit before it when the event before it is tied
     and has the same pitches; the unit lasts as long as its events.
     """
-    events = list(chain.from_iterable(map(_EVENTS, doc.measures)))
-    pitches = list(map(_PITCHES, events))
-    ticks = list(map(_DURATION_TICKS, events))
-    tied = list(map(_TIED, events))
-    joined = [j for j in compress(range(1, len(events)), tied)
+    events = chain.from_iterable(map(_EVENTS, doc.measures))
+    _, ticks, pitches, tied = list(zip(*events)) or ((),) * 4
+    joined = [j for j in compress(range(1, len(tied)), tied)
               if pitches[j] == pitches[j - 1]]
     if joined:
-        keep = [True] * len(events)
+        ticks = list(ticks)
+        keep = [True] * len(ticks)
         for j in joined:
             keep[j] = False
         head = 0
@@ -51,20 +63,27 @@ def project(doc: ScoreDoc) -> CanonicalSequence:
             if keep[j - 1]:
                 head = j - 1
             ticks[head] += ticks[j]
-        pitches = list(compress(pitches, keep))
-        ticks = list(compress(ticks, keep))
-    beats = {t: Fraction(t, TICKS_PER_BEAT) for t in set(ticks)}
-    return CanonicalSequence(
-        pitch_tokens=tuple(filter(None, pitches)),
-        durations=tuple(map(beats.__getitem__, ticks)),
-    )
+        pitches = tuple(compress(pitches, keep))
+        ticks = tuple(compress(ticks, keep))
+    return CanonicalSequence(tuple(filter(None, pitches)), ticks)
 
 
 def project_ground_truth(gt: GroundTruth) -> CanonicalSequence:
+    """Durations in units of their least common denominator."""
+    durations = [e.duration_beats for e in gt.events]
+    per_beat = math.lcm(*(d.denominator for d in durations))
     return CanonicalSequence(
-        pitch_tokens=tuple(e.midi for e in gt.events if e.midi),
-        durations=tuple(e.duration_beats for e in gt.events),
-    )
+        tuple(e.midi for e in gt.events if e.midi),
+        tuple(d.numerator * per_beat // d.denominator for d in durations),
+        per_beat)
+
+
+def grid_steps(n: int, d: int, grid: Fraction) -> int:
+    """The whole steps of ``grid`` nearest ``n/d`` beats, at least one;
+    exact midpoints round up. The caller checks ``grid``."""
+    g_n, g_d = grid.numerator, grid.denominator
+    # floor(n/d / (g_n/g_d) + 1/2), in integers.
+    return max((2 * n * g_d + d * g_n) // (2 * d * g_n), 1)
 
 
 def quantize_duration(duration: Fraction, grid: Fraction) -> Fraction:
@@ -75,30 +94,14 @@ def quantize_duration(duration: Fraction, grid: Fraction) -> Fraction:
     require_exact("quantization grid", grid)
     if grid <= 0:
         raise ConfigError(f"quantization grid must be positive, got {grid}")
-    n, d = duration.numerator, duration.denominator
-    g_n, g_d = grid.numerator, grid.denominator
-    # floor(n/d / (g_n/g_d) + 1/2), in integers.
-    steps = (2 * n * g_d + d * g_n) // (2 * d * g_n)
-    return max(steps, 1) * grid
+    return grid_steps(duration.numerator, duration.denominator, grid) * grid
 
 
 def quantize_durations(durations: tuple[Fraction, ...],
                        grid: Fraction = DEFAULT_GRID) -> tuple[Fraction, ...]:
-    """Snap every duration to the grid, as ``quantize_duration``.
-
-    Each distinct object is hashed once and each distinct value snapped
-    once, and the result holds one object per value: ``project`` writes
-    one object per distinct duration, so a long stream costs a hash per
-    distinct duration here and in ``edit_distance``.
-    """
-    snapped: dict[Fraction, Fraction] = {}
-    snapped_by_id: dict[int, Fraction] = {}
-    for key, duration in dict(zip(map(id, durations), durations)).items():
-        value = snapped.get(duration)
-        if value is None:
-            value = snapped[duration] = quantize_duration(duration, grid)
-        snapped_by_id[key] = value
-    return tuple(map(snapped_by_id.__getitem__, map(id, durations)))
+    """Snap every duration to the grid, as ``quantize_duration``."""
+    snapped = {d: quantize_duration(d, grid) for d in set(durations)}
+    return tuple(map(snapped.__getitem__, durations))
 
 
 def beats_text(value: Fraction) -> str:

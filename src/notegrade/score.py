@@ -11,6 +11,7 @@ import enum
 import re
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import ParseError, PitchError
 from .pitch import KeySignature, check_midi
@@ -87,22 +88,24 @@ class TimeSignature:
         return f"{self.numerator}/{self.denominator}"
 
 
-@dataclass(frozen=True, slots=True, init=False)
-class Event:
+class Event(tuple):
     """A timed sound or silence: empty ``pitches`` means a rest.
 
     ``tied`` marks an event joined to the next same-pitch event, to be
     merged during projection. ``Event(onset_beats, ...)`` checks its
     arguments; the parsers build valid events from ticks with ``trusted``.
+    An event is the tuple ``(onset_ticks, duration_ticks, pitches, tied)``.
     """
 
-    onset_ticks: int
-    duration_ticks: int
-    pitches: tuple[int, ...]
-    tied: bool
+    __slots__ = ()
 
-    def __init__(self, onset_beats: Fraction, duration_beats: Fraction,
-                 pitches: tuple[int, ...], tied: bool = False) -> None:
+    onset_ticks = property(itemgetter(0))
+    duration_ticks = property(itemgetter(1))
+    pitches = property(itemgetter(2))
+    tied = property(itemgetter(3))
+
+    def __new__(cls, onset_beats: Fraction, duration_beats: Fraction,
+                pitches: tuple[int, ...], tied: bool = False) -> "Event":
         if onset_beats < 0:
             raise ParseError(f"event onset {onset_beats} must be >= 0")
         if duration_beats <= 0:
@@ -116,35 +119,25 @@ class Event:
         if onset.denominator != 1 or duration.denominator != 1:
             raise ParseError("event onset and duration must be multiples of "
                              f"1/{TICKS_PER_BEAT} beat")
-        _set_event(self, onset.numerator, duration.numerator, pitches, tied)
+        return cls.trusted(onset.numerator, duration.numerator, pitches, tied)
 
     @classmethod
     def trusted(cls, onset_ticks: int, duration_ticks: int,
                 pitches: tuple[int, ...], tied: bool = False) -> "Event":
         """An event the caller guarantees valid, built without checks."""
-        event = object.__new__(cls)
-        _set_event(event, onset_ticks, duration_ticks, pitches, tied)
-        return event
+        return tuple.__new__(cls, (onset_ticks, duration_ticks, pitches, tied))
 
     @property
     def onset_beats(self) -> Fraction:
-        return Fraction(self.onset_ticks, TICKS_PER_BEAT)
+        return Fraction(self[0], TICKS_PER_BEAT)
 
     @property
     def duration_beats(self) -> Fraction:
-        return Fraction(self.duration_ticks, TICKS_PER_BEAT)
+        return Fraction(self[1], TICKS_PER_BEAT)
 
     @property
     def is_rest(self) -> bool:
-        return not self.pitches
-
-
-def _set_event(event: Event, onset: int, duration: int,
-               pitches: tuple[int, ...], tied: bool) -> None:
-    object.__setattr__(event, "onset_ticks", onset)
-    object.__setattr__(event, "duration_ticks", duration)
-    object.__setattr__(event, "pitches", pitches)
-    object.__setattr__(event, "tied", tied)
+        return not self[2]
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,7 +162,7 @@ class Measure:
 
     @property
     def duration_ticks(self) -> int:
-        return sum(e.duration_ticks for e in self.events)
+        return sum(map(itemgetter(1), self.events))
 
     @property
     def duration_sum(self) -> Fraction:

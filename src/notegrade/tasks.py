@@ -18,17 +18,14 @@ from fractions import Fraction
 
 from .metrics import (AccuracyScore, MetricWeights, alignment_accuracy,
                       hybrid_score, parse_numbers, require_exact)
-# Three parsers are unused here but kept: bench/spans.py patches them by name.
+# Three parsers and quantize_durations are unused here but kept:
+# bench/spans.py patches them by name.
 from .parsers import (parse_abc, parse_ascii_tab, parse_document,
                       parse_jianpu, validate_format)
+from .projection import (DEFAULT_GRID, project, project_ground_truth,
+                         quantize_durations)
 from .errors import ConfigError
 from .pitch import STANDARD_TUNING, KeySignature, Tuning
-from .projection import (
-    DEFAULT_GRID,
-    project,
-    project_ground_truth,
-    quantize_durations,
-)
 from .score import (FormatVerdict, GroundTruth, NotationFormat, ScoreDoc,
                     TimeSignature)
 
@@ -197,9 +194,8 @@ def _conversion_result(sample_id: str, task: Task, gt: GroundTruth,
     acc_pitch = alignment_accuracy(gt_seq.pitch_tokens, pred_seq.pitch_tokens)
     acc_duration = duration_value = None
     if fmt is not NotationFormat.ASCII_TAB:
-        acc_duration = alignment_accuracy(
-            quantize_durations(gt_seq.durations, grid),
-            quantize_durations(pred_seq.durations, grid))
+        acc_duration = alignment_accuracy(gt_seq.steps(grid),
+                                          pred_seq.steps(grid))
         duration_value = acc_duration.value
         if doc.key.tonic != gt.key.tonic:
             diagnostics.append(

@@ -1,9 +1,9 @@
 """Degenerate predictions: one melody repeated until the text reaches a
 given size, the failure a model shows when it loops.
 
-Staff and jianpu repeat the melody's body one copy to a line; tablature
-repeats it along the six strings, so each string is one long line. The
-ground truth is the melody itself.
+Staff and jianpu repeat the melody's body one copy to a line, or all
+copies on one line; tablature repeats it along the six strings, so each
+string is one long line. The ground truth is the melody itself.
 
 Non-repeating predictions are as long, but no measure in them repeats,
 so a parser that builds each distinct measure once gains nothing: a
@@ -32,6 +32,8 @@ from notegrade.tasks import score_ast
 # strings in tab.
 MELODY = next(m for m in MELODIES if m.name == "c_eighths")
 FORMATS = ("staff", "jianpu", "tab")
+# The formats whose degenerate predictions have a line per copy.
+LINES = ("staff", "jianpu")
 
 
 def degenerate_prediction(fmt: str, size: int) -> str:
@@ -50,6 +52,15 @@ def degenerate_prediction(fmt: str, size: int) -> str:
     copies = -(-size // (len(body) + 1))
     text = head + "\n" + (body + "\n") * copies
     return text[:-1] + "]\n" if fmt == "staff" else text
+
+
+def one_line_prediction(fmt: str, size: int) -> str:
+    """``degenerate_prediction`` in staff or jianpu with every copy of the
+    body on one line, as each string of tablature has it."""
+    head = 4 if fmt == "staff" else 1
+    lines = degenerate_prediction(fmt, size).splitlines()
+    body = ("" if fmt == "staff" else " ").join(lines[head:])
+    return "\n".join(lines[:head] + [body]) + "\n"
 
 
 # The notes a non-repeating measure is drawn from: eighths in staff and
@@ -125,8 +136,9 @@ def best_times(fmt: str, sizes: tuple[int, ...], runs: int = 3,
 
 
 if __name__ == "__main__":
-    for prediction in (degenerate_prediction, nonrepeating_prediction):
+    for prediction in (degenerate_prediction, one_line_prediction,
+                       nonrepeating_prediction):
         kind = prediction.__name__.removesuffix("_prediction")
-        for fmt in FORMATS:
+        for fmt in FORMATS if prediction != one_line_prediction else LINES:
             seconds = best_times(fmt, (1_000_000,), prediction=prediction)[0]
             print(f"{kind} {fmt}: {seconds:.3f} s for 1 MB")

@@ -325,6 +325,25 @@ def test_batch_bad_external_scores(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("out, csv_out", [
+    ("missing/r.json", None),
+    ("r.json", "missing/r.csv"),
+])
+def test_batch_unwritable_output_leaves_no_report(tmp_path, capsys, out,
+                                                  csv_out):
+    _write(tmp_path / "pred.txt", "b")
+    manifest = _write(tmp_path / "m.jsonl", json.dumps(
+        {"id": "v1", "task": "vsu", "format": "staff",
+         "pred_path": "pred.txt", "answer": "b"}) + "\n")
+    argv = ["batch", "--manifest", manifest, "--out", str(tmp_path / out)]
+    if csv_out is not None:
+        argv += ["--csv", str(tmp_path / csv_out)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: cannot write ")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "m.jsonl", "pred.txt"]
+
+
 def test_validate_legal(tmp_path, capsys):
     path = _write(tmp_path / "tune.abc", SCALE_ABC)
     assert main(["validate", "--format", "staff", "--input", path]) == 0

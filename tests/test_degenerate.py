@@ -1,17 +1,20 @@
 """Scoring time grows linearly with the length of a degenerate
-prediction, the usual hostile input: a melody repeated over and over;
-and with the length of one as long in which no measure repeats."""
+prediction, the usual hostile input: a melody repeated over and over,
+one copy to a line or all on one line; and with the length of one as
+long in which no measure repeats."""
 
 import statistics
 
 import pytest
 
-from degenerate import (FORMATS, degenerate_prediction,
-                        nonrepeating_prediction, timings)
+from degenerate import (FORMATS, LINES, degenerate_prediction,
+                        nonrepeating_prediction, one_line_prediction, timings)
 
 
 @pytest.mark.parametrize("prediction, fmt", [
     *(pytest.param(degenerate_prediction, fmt, id=fmt) for fmt in FORMATS),
+    *(pytest.param(one_line_prediction, fmt, id=f"oneline-{fmt}")
+      for fmt in LINES),
     *(pytest.param(nonrepeating_prediction, fmt, id=f"nonrepeating-{fmt}")
       for fmt in FORMATS),
 ])

@@ -189,48 +189,82 @@ def _tab_measure(draw):
     return tuple("".join(cell) for cell in cells)
 
 
-def _lay_out(draw, measures, bar, end):
-    """Measures joined by ``bar``, a random number to a line, and maybe
-    one of them broken over two lines."""
-    measures = list(measures)
-    if draw(st.booleans()):
-        k = draw(st.integers(0, len(measures) - 1))
-        measures[k] = measures[k].replace(" ", "\n", 1)
-    per_line = draw(st.integers(1, 4))
-    lines = [bar.join(measures[i:i + per_line])
-             for i in range(0, len(measures), per_line)]
-    return (bar.rstrip() + "\n").join(lines) + end
+# How two measures meet: on one line, or with the line broken after or
+# before the barline, so that a line may start with one; staff also
+# writes double barlines.
+_JOINS = {"staff": ("|", "|", "||", "|\n", "||\n", "\n|"),
+          "jianpu": (" | ", " | ", " |\n", "\n| ")}
+# A mark that makes the measure it ends raise there, and the rule it breaks.
+_MARKS = {"staff": ("H", "abc.parse"), "jianpu": ("9", "jianpu.degree_range"),
+          "tab": ("99", "tab.fret_range")}
+
+
+def _lay_out(draw, count, joins, end):
+    """A renderer of ``count`` measures: each pair meets in one of
+    ``joins``, the last is followed by ``end``, and maybe one measure is
+    broken over two lines."""
+    joined = [draw(st.sampled_from(joins)) for _ in range(count - 1)] + [end]
+    broken = draw(st.none() | st.integers(0, count - 1))
+
+    def render(measures):
+        measures = list(measures)
+        if broken is not None:
+            measures[broken] = measures[broken].replace(" ", "\n", 1)
+        return "".join(m + join for m, join in zip(measures, joined))
+    return render
 
 
 @st.composite
 def repeated_documents(draw, fmt):
     """A document whose measures are drawn, with repetition, from a pool
-    of up to three, and for each measure either None or how it reads
-    alone: a document of that one measure, and whether the measure's
-    last event is tied by a dash opening the next one."""
+    of up to three; for each measure either None or how it reads alone:
+    a document of that one measure, and whether the measure's last event
+    is tied by a dash opening the next one; and the document again with
+    one measure of the pool marked to raise (``_MARKS``)."""
     make = {"staff": _abc_measure, "jianpu": _jianpu_measure,
             "tab": _tab_measure}[fmt]
     pool = [make(draw) for _ in range(draw(st.integers(1, 3)))]
     order = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1,
                           max_size=12))
-    measures = [pool[k] for k in order]
+    marked = list(pool)
+    bad = draw(st.sampled_from(order))
+    mark = _MARKS[fmt][0]
     if fmt == "tab":
-        text = "".join(label + "|".join(slices) + "|\n" for label, slices
-                       in zip(_TAB_LABELS, zip(*measures)))
+        # Zero-width segments: a leading barline and double barlines; and
+        # maybe no final barline, leaving a trailing segment of notes.
+        lead = draw(st.sampled_from(("", "|")))
+        joins = [draw(st.sampled_from(("|", "|", "||"))) for _ in order[1:]]
+        joins.append(draw(st.sampled_from(("|", ""))))
+        string = draw(st.integers(0, 5))
+        marked[bad] = tuple(piece[:1] + mark + piece[3:] if s == string
+                            else piece for s, piece in enumerate(pool[bad]))
+
+        def render(pool):
+            return "".join(
+                label + lead + "".join(map(str.__add__, pieces, joins))
+                + "\n" for label, pieces
+                in zip(_TAB_LABELS, zip(*(pool[k] for k in order))))
         alone = ["".join(label + piece + "|\n" for label, piece
-                         in zip(_TAB_LABELS, slices)) for slices in measures]
-        return text, [(one, False) for one in alone]
+                         in zip(_TAB_LABELS, pool[k])) for k in order]
+        return render(pool), [(one, False) for one in alone], render(marked)
+    marked[bad] = pool[bad] + " " + mark
     if fmt == "staff":
-        text = _ABC_HEAD + _lay_out(draw, measures, "|", "|]\n")
-        return text, [(_ABC_HEAD + m + "|]\n", False) for m in measures]
+        render = _lay_out(draw, len(order), _JOINS[fmt], "|]\n")
+        return (_ABC_HEAD + render(pool[k] for k in order),
+                [(_ABC_HEAD + pool[k] + "|]\n", False) for k in order],
+                _ABC_HEAD + render(marked[k] for k in order))
     # A dash may open any measure but the first, holding the note before.
-    dashed = [i > 0 and draw(st.booleans()) for i in range(len(measures))]
-    written = ["- " + m if dash else m for m, dash in zip(measures, dashed)]
-    text = "1=G\n" + _lay_out(draw, written, " | ", " |\n")
-    expected = [None if dash else ("1=G\n" + m + " |\n", tie_next)
-                for m, dash, tie_next
-                in zip(measures, dashed, dashed[1:] + [False])]
-    return text, expected
+    dashed = [i > 0 and draw(st.booleans()) for i in range(len(order))]
+    render = _lay_out(draw, len(order), _JOINS[fmt], " |\n")
+
+    def written(pool):
+        return ["- " + pool[k] if dash else pool[k]
+                for k, dash in zip(order, dashed)]
+    expected = [None if dash else ("1=G\n" + pool[k] + " |\n", tie_next)
+                for k, dash, tie_next
+                in zip(order, dashed, dashed[1:] + [False])]
+    return ("1=G\n" + render(written(pool)), expected,
+            "1=G\n" + render(written(marked)))
 
 
 _PARSERS = {"staff": parse_abc, "jianpu": parse_jianpu,
@@ -241,7 +275,7 @@ _PARSERS = {"staff": parse_abc, "jianpu": parse_jianpu,
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_repeated_measures_parse_as_they_do_alone(fmt, data):
-    text, alone = data.draw(repeated_documents(fmt))
+    text, alone, marked = data.draw(repeated_documents(fmt))
     parse = _PARSERS[fmt]
     doc = _parsed_or_skip(parse, text)
     if doc is None:
@@ -258,6 +292,15 @@ def test_repeated_measures_parse_as_they_do_alone(fmt, data):
             events = events[:-1] + (Event.trusted(
                 last.onset_ticks, last.duration_ticks, last.pitches, True),)
         assert measure.events == events
+    # Every measure before the first mark parses, so the error is there.
+    mark, rule_id = _MARKS[fmt]
+    line, column = next((no, line.index(mark) + 1) for no, line
+                        in enumerate(marked.splitlines(), start=1)
+                        if mark in line)
+    with pytest.raises(ParseError) as raised:
+        parse(marked)
+    assert (raised.value.rule_id, raised.value.line,
+            raised.value.column) == (rule_id, line, column)
 
 
 @pytest.mark.parametrize("fmt,text", [
@@ -312,6 +355,17 @@ def _tab_rows(*rows):
     ("tab", _tab_rows("-0-2-|" * 3 + "-0-25|"), "tab.fret_range", 1, 24),
     ("tab", _tab_rows("-0-2-|" * 4, "-1---|" * 3 + "-1-|-|"),
      "tab.bar_alignment", 1, 24),
+    # After runs of repeats on one line, a double barline, a final one,
+    # and a line that starts with a barline.
+    ("staff", _ABC_HEAD + "A B|A B||A B|A H|]\n", "abc.parse", 5, 16),
+    ("staff", _ABC_HEAD + "A B|\nA B|A B|]A B|\n", "abc.parse", 6, 10),
+    ("staff", _ABC_HEAD + "A B|A B|\n|A B|\n", "abc.parse", 6, 1),
+    ("staff", _ABC_HEAD + "A B|A B|A B\n|A B|]|\n", "abc.parse", 6, 7),
+    ("jianpu", "1=C\n1 2 | 1 2 | 3 4 | 1 2 | 1 9 |\n",
+     "jianpu.degree_range", 2, 27),
+    ("jianpu", "1=C\n1 2 | 1 2 |\n| 1 2 |\n", "jianpu.measure_bars", 3, 1),
+    ("jianpu", "1=C\n1 2 | 1 2 | - 8 |\n", "jianpu.degree_range", 2, 15),
+    ("tab", _tab_rows("-0-||-0-|-0-|-25|"), "tab.fret_range", 1, 17),
 ])
 def test_an_error_after_repeats_keeps_its_position(fmt, text, rule_id, line,
                                                   column):
