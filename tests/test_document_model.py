@@ -294,9 +294,9 @@ def test_repeated_measures_parse_as_they_do_alone(fmt, data):
         assert measure.events == events
     # Every measure before the first mark parses, so the error is there.
     mark, rule_id = _MARKS[fmt]
-    line, column = next((no, line.index(mark) + 1) for no, line
+    line, column = next((no, text.index(mark) + 1) for no, text
                         in enumerate(marked.splitlines(), start=1)
-                        if mark in line)
+                        if mark in text)
     with pytest.raises(ParseError) as raised:
         parse(marked)
     assert (raised.value.rule_id, raised.value.line,
