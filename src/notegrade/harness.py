@@ -382,6 +382,9 @@ def write_report(report: Report, out_path: str | Path,
     """Serialize the report as canonical JSON, plus an optional CSV of the
     task-by-format table. Both go to temporary files before either is put
     in place, so a failed write leaves no report; it is a ConfigError."""
+    if csv_path is not None and (Path(csv_path).resolve()
+                                 == Path(out_path).resolve()):
+        raise ConfigError("--csv must name a different file from --out")
     data = report.to_json_dict()
     texts = {Path(out_path): json.dumps(data, sort_keys=True, indent=2) + "\n"}
     if csv_path is not None:

@@ -149,18 +149,27 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
     or a barline to the next barline is built once: kept when the barline
     closes it, and then taken, with the run of kept texts after it, by
     lookups into the line's parts between barlines. A text that raises is
-    not kept, and a measure that spans lines is read item by item.
+    not kept, and a measure that spans lines is read item by item. A line
+    read from a clean state (nothing pending, no "|]", a measure closed,
+    so that an opening barline is an empty measure) that leaves nothing
+    pending is kept too, as the measures it closed, for one lookup.
     """
     key_shift = key_signature_accidentals(key_name)
     unit_beats = (unit.numerator * 4, unit.denominator)
     # The pitches and ticks of each distinct note or rest text.
     sounds: dict[str, tuple[tuple[int, ...], int]] = {}
     measure_of: dict[str, Measure] = {}
+    line_of: dict[str, tuple[Measure, ...]] = {}
     measures: list[Measure] = []
     pending: list[Event] = []
     onset = 0
     finished = False
     for line_no, text in body:
+        first = len(measures)
+        clean = first and not pending and not finished
+        if clean and text in line_of:
+            measures += line_of[text]
+            continue
         parts = text.split("|")
         bars = len(parts) - 1
         # k counts the "|" before i: a measure starting at i is written
@@ -225,6 +234,8 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
                 raise _error(f"unexpected character {item[kind]!r}", line_no, start)
             pending.append(Event.trusted(onset, ticks, pitches))
             onset += ticks
+        if clean and not pending:
+            line_of[text] = tuple(measures[first:])
     if pending:
         measures.append(Measure.trusted(tuple(pending)))
     if not measures:

@@ -143,8 +143,16 @@ def parse_jianpu(text: str,
     # A measure between two barlines of one line starts in the same state
     # wherever it appears, unless a dash opens it, so each distinct text
     # is read once and kept, and a run of kept texts is taken by lookups
-    # into the line's parts; a text that raises is not kept.
+    # into the line's parts; a text that raises is not kept. So is a
+    # line that starts and ends with nothing pending after a barline, and
+    # whose first word is not a dash (which rebuilds the measure before).
+    line_of: dict[str, tuple[Measure, ...]] = {}
     for line_no, line in lines[directive_idx + 1:]:
+        clean = bar_seen and not pending
+        if clean and line in line_of:
+            closed += line_of[line]
+            continue
+        first = len(closed)
         parts = _BAR_RE.split(line)
         bars = len(parts) - 1
         k = offset = 0  # parts[k] starts at line[offset]
@@ -156,7 +164,6 @@ def parse_jianpu(text: str,
                 offset += len(hits) + sum(
                     map(len, islice(parts, k, k + len(hits))))
                 k += len(hits)
-                bar_seen = True
             part = parts[k]
             written = part.strip()
             kept = not pending and not written.startswith("-")
@@ -177,6 +184,8 @@ def parse_jianpu(text: str,
             bar_seen = True
             offset += len(part) + 1
             k += 1
+        if clean and not pending and not line.lstrip().startswith("-"):
+            line_of[line] = tuple(closed[first:])
 
     final_barline = not pending
     if pending:

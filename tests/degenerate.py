@@ -2,8 +2,9 @@
 given size, the failure a model shows when it loops.
 
 Staff and jianpu repeat the melody's body one copy to a line, or all
-copies on one line; tablature repeats it along the six strings, so each
-string is one long line. The ground truth is the melody itself.
+copies on one line, or one copy to two lines broken inside its first
+measure; tablature repeats it along the six strings, so each string is
+one long line. The ground truth is the melody itself.
 
 Non-repeating predictions are as long, but no measure in them repeats,
 so a parser that builds each distinct measure once gains nothing: a
@@ -61,6 +62,17 @@ def one_line_prediction(fmt: str, size: int) -> str:
     lines = degenerate_prediction(fmt, size).splitlines()
     body = ("" if fmt == "staff" else " ").join(lines[head:])
     return "\n".join(lines[:head] + [body]) + "\n"
+
+
+def straddling_prediction(fmt: str, size: int) -> str:
+    """``degenerate_prediction`` in staff or jianpu with each copy of the
+    body broken after its first note, so that in every copy a measure
+    spans a line break: no line starts and ends between measures, and
+    that measure is read note by note each time."""
+    head = 4 if fmt == "staff" else 1
+    lines = degenerate_prediction(fmt, size).splitlines()
+    body = [line.replace(" ", "\n", 1) for line in lines[head:]]
+    return "\n".join(lines[:head] + body) + "\n"
 
 
 # The notes a non-repeating measure is drawn from: eighths in staff and
@@ -136,9 +148,11 @@ def best_times(fmt: str, sizes: tuple[int, ...], runs: int = 3,
 
 
 if __name__ == "__main__":
-    for prediction in (degenerate_prediction, one_line_prediction,
-                       nonrepeating_prediction):
+    for prediction, formats in ((degenerate_prediction, FORMATS),
+                                (one_line_prediction, LINES),
+                                (straddling_prediction, LINES),
+                                (nonrepeating_prediction, FORMATS)):
         kind = prediction.__name__.removesuffix("_prediction")
-        for fmt in FORMATS if prediction != one_line_prediction else LINES:
+        for fmt in formats:
             seconds = best_times(fmt, (1_000_000,), prediction=prediction)[0]
             print(f"{kind} {fmt}: {seconds:.3f} s for 1 MB")

@@ -344,6 +344,21 @@ def test_batch_unwritable_output_leaves_no_report(tmp_path, capsys, out,
         "m.jsonl", "pred.txt"]
 
 
+@pytest.mark.parametrize("csv_out", ["r.json", "sub/../r.json"])
+def test_batch_csv_naming_the_report_is_refused(tmp_path, capsys, csv_out):
+    _write(tmp_path / "pred.txt", "b")
+    manifest = _write(tmp_path / "m.jsonl", json.dumps(
+        {"id": "v1", "task": "vsu", "format": "staff",
+         "pred_path": "pred.txt", "answer": "b"}) + "\n")
+    assert main(["batch", "--manifest", manifest,
+                 "--out", str(tmp_path / "r.json"),
+                 "--csv", str(tmp_path / csv_out)]) == 1
+    assert capsys.readouterr().err == (
+        "error: --csv must name a different file from --out\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "m.jsonl", "pred.txt"]
+
+
 def test_validate_legal(tmp_path, capsys):
     path = _write(tmp_path / "tune.abc", SCALE_ABC)
     assert main(["validate", "--format", "staff", "--input", path]) == 0

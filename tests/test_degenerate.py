@@ -1,19 +1,23 @@
 """Scoring time grows linearly with the length of a degenerate
 prediction, the usual hostile input: a melody repeated over and over,
-one copy to a line or all on one line; and with the length of one as
-long in which no measure repeats."""
+one copy to a line, all on one line, or one copy to two lines broken
+inside a measure; and with the length of one as long in which no
+measure repeats."""
 
 import statistics
 
 import pytest
 
 from degenerate import (FORMATS, LINES, degenerate_prediction,
-                        nonrepeating_prediction, one_line_prediction, timings)
+                        nonrepeating_prediction, one_line_prediction,
+                        straddling_prediction, timings)
 
 
 @pytest.mark.parametrize("prediction, fmt", [
     *(pytest.param(degenerate_prediction, fmt, id=fmt) for fmt in FORMATS),
     *(pytest.param(one_line_prediction, fmt, id=f"oneline-{fmt}")
+      for fmt in LINES),
+    *(pytest.param(straddling_prediction, fmt, id=f"straddle-{fmt}")
       for fmt in LINES),
     *(pytest.param(nonrepeating_prediction, fmt, id=f"nonrepeating-{fmt}")
       for fmt in FORMATS),

@@ -194,33 +194,57 @@ def _tab_measure(draw):
 # writes double barlines.
 _JOINS = {"staff": ("|", "|", "||", "|\n", "||\n", "\n|"),
           "jianpu": (" | ", " | ", " |\n", "\n| ")}
+# A layout may open with a barline; then its copies meet after a barline
+# and a line break, or with the last line left mid-measure, which the
+# next copy's opening barline closes; otherwise they meet in a barline.
+_LEADS = {"staff": "|", "jianpu": "| "}
+_TAILS = {"staff": (("|", "||", "|\n", "||\n"), ("|\n", "\n")),
+          "jianpu": ((" | ", " |\n"), (" |\n", "\n"))}
+# The error of an opening barline after a closed measure: an empty measure.
+_EMPTY = {"staff": "abc.parse", "jianpu": "jianpu.measure_bars"}
 # A mark that makes the measure it ends raise there, and the rule it breaks.
 _MARKS = {"staff": ("H", "abc.parse"), "jianpu": ("9", "jianpu.degree_range"),
           "tab": ("99", "tab.fret_range")}
 
 
-def _lay_out(draw, count, joins, end):
-    """A renderer of ``count`` measures: each pair meets in one of
-    ``joins``, the last is followed by ``end``, and maybe one measure is
-    broken over two lines."""
-    joined = [draw(st.sampled_from(joins)) for _ in range(count - 1)] + [end]
+def _lay_out(draw, fmt, count, end, head):
+    """A renderer of ``count`` measures after ``head``, and how many times
+    it writes them. Each pair meets in one of ``_JOINS``, and maybe one
+    measure is broken over two lines. This layout may open with a barline
+    and is written one to three times, verbatim, so that its lines
+    repeat; the copies meet in one of ``_TAILS``, and the last is followed
+    by ``end``. The renderer gives the text, and the rule id, line and
+    column of the empty measure that a copy opening with a barline after
+    a closed measure makes, or None."""
+    lead = draw(st.sampled_from(("", _LEADS[fmt])))
+    tail = draw(st.sampled_from(_TAILS[fmt][bool(lead)]))
+    copies = draw(st.integers(1, 3))
+    joined = [draw(st.sampled_from(_JOINS[fmt])) for _ in range(count - 1)]
     broken = draw(st.none() | st.integers(0, count - 1))
 
     def render(measures):
         measures = list(measures)
         if broken is not None:
             measures[broken] = measures[broken].replace(" ", "\n", 1)
-        return "".join(m + join for m, join in zip(measures, joined))
-    return render
+        layout = head + lead + "".join(map(str.__add__, measures,
+                                           joined + [""]))
+        error = None
+        if lead and copies > 1 and tail != "\n":
+            error = (_EMPTY[fmt], (layout + tail).count("\n") + 1, 1)
+        return tail.join([layout] + [layout[len(head):]] * (copies - 1)) \
+            + end, error
+    return render, copies
 
 
 @st.composite
 def repeated_documents(draw, fmt):
     """A document whose measures are drawn, with repetition, from a pool
-    of up to three; for each measure either None or how it reads alone:
-    a document of that one measure, and whether the measure's last event
-    is tied by a dash opening the next one; and the document again with
-    one measure of the pool marked to raise (``_MARKS``)."""
+    of up to three, and in staff and jianpu maybe written again line for
+    line (``_lay_out``); the error it raises outside the pitch range, or
+    None; for each measure either None or how it reads alone: a document
+    of that one measure, and whether the measure's last event is tied by
+    a dash opening the next one; and the document again with one measure
+    of the pool marked to raise (``_MARKS``), in every copy."""
     make = {"staff": _abc_measure, "jianpu": _jianpu_measure,
             "tab": _tab_measure}[fmt]
     pool = [make(draw) for _ in range(draw(st.integers(1, 3)))]
@@ -246,25 +270,26 @@ def repeated_documents(draw, fmt):
                 in zip(_TAB_LABELS, zip(*(pool[k] for k in order))))
         alone = ["".join(label + piece + "|\n" for label, piece
                          in zip(_TAB_LABELS, pool[k])) for k in order]
-        return render(pool), [(one, False) for one in alone], render(marked)
+        return (render(pool), None, [(one, False) for one in alone],
+                render(marked))
     marked[bad] = pool[bad] + " " + mark
     if fmt == "staff":
-        render = _lay_out(draw, len(order), _JOINS[fmt], "|]\n")
-        return (_ABC_HEAD + render(pool[k] for k in order),
-                [(_ABC_HEAD + pool[k] + "|]\n", False) for k in order],
-                _ABC_HEAD + render(marked[k] for k in order))
+        render, copies = _lay_out(draw, fmt, len(order), "|]\n", _ABC_HEAD)
+        alone = [(_ABC_HEAD + pool[k] + "|]\n", False) for k in order]
+        return (*render(pool[k] for k in order), alone * copies,
+                render(marked[k] for k in order)[0])
     # A dash may open any measure but the first, holding the note before.
     dashed = [i > 0 and draw(st.booleans()) for i in range(len(order))]
-    render = _lay_out(draw, len(order), _JOINS[fmt], " |\n")
+    render, copies = _lay_out(draw, fmt, len(order), " |\n", "1=G\n")
 
     def written(pool):
         return ["- " + pool[k] if dash else pool[k]
                 for k, dash in zip(order, dashed)]
+    dashed *= copies
     expected = [None if dash else ("1=G\n" + pool[k] + " |\n", tie_next)
                 for k, dash, tie_next
-                in zip(order, dashed, dashed[1:] + [False])]
-    return ("1=G\n" + render(written(pool)), expected,
-            "1=G\n" + render(written(marked)))
+                in zip(order * copies, dashed, dashed[1:] + [False])]
+    return (*render(written(pool)), expected, render(written(marked))[0])
 
 
 _PARSERS = {"staff": parse_abc, "jianpu": parse_jianpu,
@@ -275,23 +300,29 @@ _PARSERS = {"staff": parse_abc, "jianpu": parse_jianpu,
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_repeated_measures_parse_as_they_do_alone(fmt, data):
-    text, alone, marked = data.draw(repeated_documents(fmt))
+    text, error, alone, marked = data.draw(repeated_documents(fmt))
     parse = _PARSERS[fmt]
-    doc = _parsed_or_skip(parse, text)
-    if doc is None:
-        return
-    _assert_trusted_invariants(doc)
-    assert len(doc.measures) == len(alone)
-    for measure, expected in zip(doc.measures, alone):
-        if expected is None:
-            continue
-        one, tied_by_next = expected
-        events = parse(one).measures[0].events
-        if tied_by_next:
-            last = events[-1]
-            events = events[:-1] + (Event.trusted(
-                last.onset_ticks, last.duration_ticks, last.pitches, True),)
-        assert measure.events == events
+    try:
+        doc = parse(text)
+    except ParseError as exc:
+        if exc.rule_id.endswith("pitch_range"):
+            return
+        assert (exc.rule_id, exc.line, exc.column) == error
+    else:
+        assert error is None
+        _assert_trusted_invariants(doc)
+        assert len(doc.measures) == len(alone)
+        for measure, expected in zip(doc.measures, alone):
+            if expected is None:
+                continue
+            one, tied_by_next = expected
+            events = parse(one).measures[0].events
+            if tied_by_next:
+                last = events[-1]
+                events = events[:-1] + (Event.trusted(
+                    last.onset_ticks, last.duration_ticks, last.pitches,
+                    True),)
+            assert measure.events == events
     # Every measure before the first mark parses, so the error is there.
     mark, rule_id = _MARKS[fmt]
     line, column = next((no, text.index(mark) + 1) for no, text
@@ -390,6 +421,59 @@ def test_a_dash_opening_a_measure_leaves_earlier_copies_untied():
     assert [e.tied for e in second.events] == [False] * 3 + [True]
     assert fourth is first
     assert second.events[:3] == first.events[:3]
+
+
+# --- repeated lines ---------------------------------------------------------
+
+# The parsers keep the measures of a line read from a clean state and
+# take them again where the line repeats. Each error is in a line that
+# did not start or did not end clean, or is the first copy of its line;
+# its rule id, line and column are the ones the parser reported before
+# lines were reused.
+@pytest.mark.parametrize("fmt,text,rule_id,line,column", [
+    # An opening barline is an empty measure after the first body line.
+    ("staff", _ABC_HEAD + "|C D|\n|C D|\n", "abc.parse", 6, 1),
+    ("staff", _ABC_HEAD + "|C D|\nE F|\n|C D|\n", "abc.parse", 7, 1),
+    ("jianpu", "1=C\n| 1 2 |\n| 1 2 |\n", "jianpu.measure_bars", 3, 1),
+    # Nothing may follow a final barline.
+    ("staff", _ABC_HEAD + "A B|]\nA B|]\n", "abc.parse", 6, 1),
+    ("staff", _ABC_HEAD + "A B|]\n\nA B|]\n", "abc.parse", 7, 1),
+    ("staff", _ABC_HEAD + "C D|\nA B|]\nA B|]\n", "abc.parse", 7, 1),
+    # After repeats of the first line, an error in the second distinct
+    # line is reported at its first copy.
+    ("staff", _ABC_HEAD + "A B|\n" * 3 + "c H|\nA B|\nc H|\n",
+     "abc.parse", 8, 3),
+    ("jianpu", "1=C\n" + "1 2 |\n" * 3 + "3 9 |\n1 2 |\n3 9 |\n",
+     "jianpu.degree_range", 5, 3),
+])
+def test_a_repeated_line_keeps_its_errors(fmt, text, rule_id, line, column):
+    with pytest.raises(ParseError) as raised:
+        _PARSERS[fmt](text)
+    assert (raised.value.rule_id, raised.value.line,
+            raised.value.column) == (rule_id, line, column)
+
+
+@pytest.mark.parametrize("fmt,text,joined", [
+    ("staff", _ABC_HEAD + "A B|\nc d|e\nf|\nc d|e\nf|]\n",
+     _ABC_HEAD + "A B|\nc d|e f|\nc d|e f|]\n"),
+    ("jianpu", "1=C\n1 2 |\n3 4 | 5\n6 |\n3 4 | 5\n6 |\n",
+     "1=C\n1 2 |\n3 4 | 5 6 |\n3 4 | 5 6 |\n"),
+])
+def test_a_repeated_line_ending_mid_measure_is_read_in_full(fmt, text,
+                                                            joined):
+    # "c d|e" starts clean both times, but leaves "e" pending for "f".
+    measures = _PARSERS[fmt](text).measures
+    assert len(measures) == 5
+    assert measures == _PARSERS[fmt](joined).measures
+
+
+def test_a_repeated_line_opened_by_a_dash_holds_each_note_before():
+    doc = parse_jianpu("1=C\n1 2 |\n- 3 |\n- 3 |\n")
+    assert doc.measures == parse_jianpu("1=C\n1 2 | - 3 | - 3 |\n").measures
+    first, second, third = doc.measures
+    assert (first.events[-1].tied, second.events[-1].tied) == (True, True)
+    assert not third.events[-1].tied
+    assert (second.events[0].pitches, third.events[0].pitches) == ((62,), (64,))
 
 
 # --- the public constructor -------------------------------------------------
