@@ -13,7 +13,6 @@ ast_length_cap); command-line flags override it.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
@@ -24,6 +23,7 @@ from .errors import (ConfigError, NotegradeError, ParseError, SchemaError,
 from .harness import (
     EvalConfig,
     SampleRecord,
+    json_text,
     load_external_scores,
     load_manifest,
     run_batch,
@@ -103,7 +103,7 @@ def _load_smg_declaration(path: str) -> tuple[KeySignature, TimeSignature]:
 
 
 def _print_json(obj: dict) -> None:
-    print(json.dumps(obj, sort_keys=True, indent=2))
+    print(json_text(obj))
 
 
 def _cmd_score(args: argparse.Namespace, env: dict) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import os
+from functools import partial
 
 
 class NotegradeError(Exception):
@@ -67,9 +68,16 @@ def read_input(path: str | os.PathLike, what: str = "",
     ``OSError`` goes to the caller.
     """
     try:
-        with open(path, encoding="utf-8", newline="",
-                  errors="replace" if model else "strict") as handle:
-            return handle.read()
+        # No file object, which costs more; O_BINARY (Windows) keeps "\r\n".
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+        try:
+            data = b"".join(iter(partial(os.read, fd, 1 << 16), b""))
+        except IsADirectoryError as exc:
+            exc.filename = os.fspath(path)  # named, as open() names it
+            raise
+        finally:
+            os.close(fd)
+        return data.decode("utf-8", "replace" if model else "strict")
     except (OSError, UnicodeDecodeError) as exc:
         if error is None:
             raise
@@ -92,7 +100,7 @@ def json_object(value: object, what: str, error: type[NotegradeError], *,
     unknown = set() if known is None else value.keys() - known
     if unknown:
         raise error(f"{what} has unknown keys {sorted(unknown)}")
-    missing = required - value.keys()
+    missing = required - value.keys() if required else ()
     if missing:
         raise error(f"{what} is missing keys {sorted(missing)}")
     return value

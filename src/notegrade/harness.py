@@ -7,12 +7,14 @@ every run, samples ordered by id. Samples are scored one at a time:
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import io
-import json
 import os
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import cache, cached_property
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .errors import (ConfigError, ParseError, PitchError, SchemaError,
@@ -27,6 +29,7 @@ from .tasks import (
     Task,
     TaskResult,
     aggregate_capability,
+    projected,
     score_ast,
     score_cnc,
     score_smg,
@@ -93,7 +96,7 @@ def _require_str(obj: dict, key: str, line: int) -> str:
     return value
 
 
-def _record(raw: str, line: int, base_dir: Path) -> SampleRecord:
+def _record(raw: str, line: int, join, parse_key, parse_meter) -> SampleRecord:
     obj = json_object(raw, f"manifest line {line}", SchemaError, decode=True,
                       known=_RECORD_KEYS)
     sample_id = _require_str(obj, "id", line)
@@ -102,11 +105,11 @@ def _record(raw: str, line: int, base_dir: Path) -> SampleRecord:
         fmt = NotationFormat.parse(_require_str(obj, "format", line))
     except (ConfigError, ParseError) as exc:
         raise SchemaError(f"manifest line {line}: {exc}") from None
-    pred_path = base_dir / _require_str(obj, "pred_path", line)
+    pred_path = join(_require_str(obj, "pred_path", line))
 
     gt_path = None
     if task in (Task.CNC, Task.AST):
-        gt_path = base_dir / _require_str(obj, "gt_path", line)
+        gt_path = join(_require_str(obj, "gt_path", line))
     elif "gt_path" in obj:
         raise SchemaError(
             f"manifest line {line}: gt_path only applies to cnc and ast")
@@ -120,9 +123,8 @@ def _record(raw: str, line: int, base_dir: Path) -> SampleRecord:
     declared_key = declared_meter = None
     if task is Task.SMG:
         try:
-            declared_key = KeySignature.parse(
-                _require_str(obj, "declared_key", line))
-            declared_meter = TimeSignature.parse(
+            declared_key = parse_key(_require_str(obj, "declared_key", line))
+            declared_meter = parse_meter(
                 _require_str(obj, "declared_meter", line))
         except ParseError as exc:
             raise SchemaError(f"manifest line {line}: {exc}") from None
@@ -140,17 +142,17 @@ def _record(raw: str, line: int, base_dir: Path) -> SampleRecord:
         except PitchError as exc:
             raise SchemaError(f"manifest line {line}: {exc}") from None
 
-    return SampleRecord(
-        id=sample_id, task=task, format=fmt, pred_path=pred_path,
-        gt_path=gt_path, answer=answer, declared_key=declared_key,
-        declared_meter=declared_meter, tuning=tuning)
+    return SampleRecord(sample_id, task, fmt, pred_path, gt_path, answer,
+                        declared_key, declared_meter, tuning)
 
 
 def load_manifest(path: str | Path) -> tuple[SampleRecord, ...]:
     """Read a JSONL manifest; any structural problem is a SchemaError."""
     path = Path(path)
     text = read_input(path, f"manifest {path}", SchemaError)
-    base_dir = path.parent
+    # Each distinct path is joined, and each key or meter parsed, once.
+    memos = (cache(path.parent.joinpath), cache(KeySignature.parse),
+             cache(TimeSignature.parse))
     records = []
     seen: set[str] = set()
     # JSON Lines rows end at "\n" only: str.splitlines would also split
@@ -158,7 +160,7 @@ def load_manifest(path: str | Path) -> tuple[SampleRecord, ...]:
     for line_no, raw in enumerate(text.split("\n"), start=1):
         if not raw.strip():
             continue
-        record = _record(raw, line_no, base_dir)
+        record = _record(raw, line_no, *memos)
         if record.id in seen:
             raise SchemaError(
                 f"manifest line {line_no}: duplicate sample id {record.id!r}")
@@ -246,6 +248,7 @@ class Report:
     external: dict[str, dict[str, float]] = field(default_factory=dict)
     warnings: tuple[str, ...] = ()
 
+    @cached_property
     def _cells(self) -> dict[tuple, list]:
         """Group the results in one pass. The cells (task, format) and
         (task, None), the latter for all formats, each hold the sample
@@ -254,16 +257,19 @@ class Report:
         cells: dict[tuple, list] = {}
         for result in self.results:
             value = result.normalized()
-            for fmt in (fmt_of[result.sample_id], None):
-                cell = cells.setdefault((result.task, fmt), [0, 0, 0])
-                cell[0] += 1
-                if value is not None:
-                    cell[1] += 1
-                    cell[2] += value
+            cell = cells.setdefault(
+                (result.task, fmt_of[result.sample_id]), [0, 0, 0])
+            cell[0] += 1
+            if value is not None:
+                cell[1] += 1
+                cell[2] += value
+        for (task, _), cell in list(cells.items()):  # pool the formats
+            pooled = cells.setdefault((task, None), [0, 0, 0])
+            pooled[:] = [a + b for a, b in zip(pooled, cell)]
         return cells
 
     def task_means(self) -> dict[Task, Fraction]:
-        return _means(self._cells(), None)
+        return _means(self._cells, None)
 
     def capability(self) -> Fraction:
         return aggregate_capability(self.task_means(), self.config.task_weights)
@@ -279,7 +285,7 @@ class Report:
             entry["fingering"] = None if scores is None else scores.get("fingering")
             per_sample.append(entry)
 
-        cells = self._cells()
+        cells = self._cells
         per_task = {}
         for task in Task:
             count, valid, total = cells.get((task, None), (0, 0, 0))
@@ -338,18 +344,11 @@ def run_batch(records: tuple[SampleRecord, ...],
     if isinstance(workers, bool) or not isinstance(workers, int) \
             or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
-    ground_truths: dict[str, GroundTruth | None] = {}
-    gt_cache: dict[Path, GroundTruth] = {}
-    for record in records:
-        if record.gt_path is None:
-            ground_truths[record.id] = None
-            continue
-        if record.gt_path not in gt_cache:
-            gt_cache[record.gt_path] = load_ground_truth(record.gt_path)
-        ground_truths[record.id] = gt_cache[record.gt_path]
-
+    # Each ground-truth file is loaded and projected once, in manifest order.
+    ground_truths = {path: projected(load_ground_truth(path)) for path in
+                     dict.fromkeys(r.gt_path for r in records if r.gt_path)}
     ordered = sorted(records, key=lambda r: r.id)
-    results = tuple(score_sample(r, config, ground_truths[r.id])
+    results = tuple(score_sample(r, config, ground_truths.get(r.gt_path))
                     for r in ordered)
 
     warnings = []
@@ -377,6 +376,38 @@ def run_batch(records: tuple[SampleRecord, ...],
                   external=external, warnings=tuple(warnings))
 
 
+# The text of each scalar type, as the json module writes it.
+_SCALARS = {
+    str: _quote, int: int.__repr__, type(None): lambda _: "null",
+    bool: {True: "true", False: "false"}.__getitem__,
+    float: lambda x: (float.__repr__(x) if x - x == 0  # finite
+                      else "NaN" if x != x else "-Infinity" if x < 0
+                      else "Infinity"),
+}
+
+
+def json_text(value, pad: str = "\n") -> str:
+    """``json.dumps(value, sort_keys=True, indent=2)`` for a JSON value
+    with string keys, in a fraction of the time: CPython's C encoder
+    does not indent, and its Python encoder is slow."""
+    kind = type(value)
+    if kind is not dict and kind is not list:
+        return _SCALARS[kind](value)
+    if not value:
+        return "{}" if kind is dict else "[]"
+    inner = pad + "  "
+    if kind is list:
+        items = [json_text(v, inner) for v in value]
+        return f"[{inner}" + f",{inner}".join(items) + f"{pad}]"
+    items = []
+    for key in sorted(value):
+        item = value[key]
+        scalar = _SCALARS.get(type(item))  # no call down for most values
+        items.append(f"{_quote(key)}: "
+                     f"{scalar(item) if scalar else json_text(item, inner)}")
+    return f"{{{inner}" + f",{inner}".join(items) + f"{pad}}}"
+
+
 def write_report(report: Report, out_path: str | Path,
                  csv_path: str | Path | None = None) -> None:
     """Serialize the report as canonical JSON, plus an optional CSV of the
@@ -386,7 +417,7 @@ def write_report(report: Report, out_path: str | Path,
                                  == Path(out_path).resolve()):
         raise ConfigError("--csv must name a different file from --out")
     data = report.to_json_dict()
-    texts = {Path(out_path): json.dumps(data, sort_keys=True, indent=2) + "\n"}
+    texts = {Path(out_path): json_text(data) + "\n"}
     if csv_path is not None:
         table = io.StringIO()
         writer = csv.writer(table)
@@ -396,9 +427,17 @@ def write_report(report: Report, out_path: str | Path,
             writer.writerow([row["task"], row["format"], row["count"],
                              row["invalid_count"], mean])
         texts[Path(csv_path)] = table.getvalue()
-    temps = {path: path.with_name(path.name + ".tmp") for path in texts}
+    outputs = {path.resolve() for path in texts}
+    temps: dict[Path, Path] = {}
     try:
         for path, text in texts.items():
+            tmp = path  # to be a new file beside it, named as no output
+            while path not in temps:
+                tmp = tmp.with_name(tmp.name + ".tmp")
+                if tmp.resolve() not in outputs:
+                    with contextlib.suppress(FileExistsError):
+                        open(tmp, "x").close()
+                        temps[path] = tmp
             temps[path].write_text(text, encoding="utf-8", newline="")
         for path, tmp in temps.items():
             os.replace(tmp, path)

@@ -103,8 +103,9 @@ def alignment_accuracy(gt: Sequence[Hashable],
     if not gt and not pred:
         return AccuracyScore(Fraction(1), 0, 0, 0)
     distance = edit_distance(gt, pred)
-    value = max(Fraction(0), 1 - Fraction(distance, max(len(gt), len(pred))))
-    return AccuracyScore(value, distance, len(gt), len(pred))
+    longest = max(len(gt), len(pred))
+    return AccuracyScore(Fraction(max(longest - distance, 0), longest),
+                         distance, len(gt), len(pred))
 
 
 def require_exact(what: str, value: object) -> None:
@@ -174,9 +175,8 @@ def hybrid_score(acc_pitch: Fraction, acc_duration: Fraction | None,
     ``acc_duration=None`` means the target format has no duration stream;
     its weight is then redistributed over the other two components.
     """
-    if acc_duration is None:
-        weights = weights.without_duration()
-        acc_duration = Fraction(0)
-    return (weights.pitch * acc_pitch
-            + weights.duration * acc_duration
-            + weights.format * (Fraction(1) if format_legal else Fraction(0)))
+    legal = weights.format if format_legal else 0
+    if acc_duration is None:  # without_duration raises for a zero rest
+        rest = weights.pitch + weights.format or weights.without_duration()
+        return (weights.pitch * acc_pitch + legal) / rest
+    return weights.pitch * acc_pitch + weights.duration * acc_duration + legal

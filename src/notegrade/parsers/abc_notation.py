@@ -40,20 +40,23 @@ _LENGTH_RE = re.compile(r"([0-9]*)(/*)([0-9]*)")
 _ACCIDENTALS = {"^": 1, "_": -1, "=": 0}
 # One item of a tune body, after any whitespace: a barline, a tie, a rest
 # or a note with its length (or a stray accidental), a chord's "[", or
-# any other character. The group that matched tells which.
+# any other character. The outer group that matched tells which. In a
+# rest or note, groups 4-6 are a note's accidental, letter and octave
+# marks, and groups 7-9 the length's parts, as in _PITCH_RE, _LENGTH_RE.
 _ITEM_RE = re.compile(r"\s*(?:(\|\]|\|\||\|)|(-)|"
-                      r"(z[0-9]*/*[0-9]*|[\^_=]?[A-Ga-g][',]*[0-9]*/*[0-9]*|[\^_=])"
-                      r"|(\[)|(\S))")
-_BAR, _TIE, _SOUND, _CHORD = 1, 2, 3, 4
+                      r"((?:z|([\^_=]?)([A-Ga-g])([',]*))([0-9]*)(/*)([0-9]*)"
+                      r"|[\^_=])|(\[)|(\S))")
+_BAR, _TIE, _SOUND, _LENGTH, _CHORD = 1, 2, 3, 7, 10
 
 
-def _number(digits: str, **where) -> int:
+def _number(digits: str, line: int, column: int | None = None,
+            rule_id: str = "abc.parse") -> int:
     """``int(digits)``, or a ParseError past the interpreter's digit limit."""
     try:
         return int(digits)
     except ValueError:
-        raise ParseError(
-            f"number of {len(digits)} digits is too long", **where) from None
+        raise ParseError(f"number of {len(digits)} digits is too long",
+                         line=line, column=column, rule_id=rule_id) from None
 
 
 def key_signature_accidentals(key_name: str) -> dict[str, int]:
@@ -202,11 +205,11 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
             if kind == _SOUND:
                 token = item[kind]
                 if token not in sounds:
-                    sounds[token] = _scan_event(text, start, line_no,
-                                                key_shift, unit_beats)[:2]
+                    sounds[token] = _sound(item, line_no, key_shift,
+                                           unit_beats)
                 pitches, ticks = sounds[token]
             elif kind == _CHORD:
-                pitches, ticks, i = _scan_event(text, start, line_no,
+                pitches, ticks, i = _scan_chord(text, start, line_no,
                                                 key_shift, unit_beats)
             elif kind == _BAR:
                 if memo is None and pending:
@@ -244,75 +247,79 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
     return tuple(measures), not pending
 
 
-def _scan_event(text: str, i: int, line_no: int, key_shift: dict[str, int],
+def _sound(item: re.Match, line_no: int, key_shift: dict[str, int],
+           unit_beats: tuple[int, int]) -> tuple[tuple[int, ...], int]:
+    """The pitches and ticks of the rest or note ``item`` of _ITEM_RE."""
+    accidental, letter, marks, *length = item.group(4, 5, 6, 7, 8, 9)
+    i = item.start(_SOUND)
+    if item[_SOUND] in _ACCIDENTALS:
+        raise _error("accidental must be followed by a note letter", line_no, i)
+    pitches = () if letter is None else (
+        _pitch(accidental, letter, marks, key_shift, line_no, i),)
+    return pitches, _ticks(*length, line_no, item.start(_LENGTH), i + 1,
+                           unit_beats)
+
+
+def _scan_chord(text: str, i: int, line_no: int, key_shift: dict[str, int],
                 unit_beats: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
-    """The pitches and ticks of the rest, note or chord at ``i``, and the
-    index after it. A stray accidental raises from ``_scan_pitch``."""
-    if text[i] == "z":
-        pitches, end = (), i + 1
-    elif text[i] != "[":
-        midi, end = _scan_pitch(text, i, line_no, key_shift)
-        pitches = (midi,)
-    else:
-        chord, end = [], i + 1
-        while True:
-            if end >= len(text):
-                raise _error("unterminated chord", line_no, i)
-            ch = text[end]
-            if ch == "]":
-                end += 1
-                break
-            if ch in "0123456789/":
-                raise _error("chord notes cannot carry their own durations",
-                             line_no, end)
-            if not (ch in "^_=" or ch.upper() in LETTER_SEMITONES):
-                raise _error(f"unexpected character {ch!r} in chord", line_no, end)
-            midi, end = _scan_pitch(text, end, line_no, key_shift)
-            chord.append(midi)
-        if not chord:
-            raise _error("empty chord", line_no, i)
-        pitches = tuple(sort_chord(chord))
-    ticks, end = _scan_duration(text, end, line_no, i + 1, unit_beats)
-    return pitches, ticks, end
+    """The pitches and ticks of the chord at ``i``, and the index after it."""
+    chord, end = [], i + 1
+    while True:
+        if end >= len(text):
+            raise _error("unterminated chord", line_no, i)
+        ch = text[end]
+        if ch == "]":
+            end += 1
+            break
+        if ch in "0123456789/":
+            raise _error("chord notes cannot carry their own durations",
+                         line_no, end)
+        if not (ch in "^_=" or ch.upper() in LETTER_SEMITONES):
+            raise _error(f"unexpected character {ch!r} in chord", line_no, end)
+        match = _PITCH_RE.match(text, end)
+        if not match:
+            raise _error("accidental must be followed by a note letter",
+                         line_no, end)
+        chord.append(_pitch(*match.groups(), key_shift, line_no, end))
+        end = match.end()
+    if not chord:
+        raise _error("empty chord", line_no, i)
+    length = _LENGTH_RE.match(text, end)
+    ticks = _ticks(*length.groups(), line_no, end, i + 1, unit_beats)
+    return tuple(sort_chord(chord)), ticks, length.end()
 
 
-def _scan_pitch(text: str, i: int, line_no: int,
-                key_shift: dict[str, int]) -> tuple[int, int]:
-    match = _PITCH_RE.match(text, i)
-    if not match:
-        raise _error("accidental must be followed by a note letter",
-                     line_no, i)
-    accidental, letter, marks = match.groups()
+def _pitch(accidental: str, letter: str, marks: str,
+           key_shift: dict[str, int], line_no: int, i: int) -> int:
+    """The MIDI number of the note written from index ``i``."""
     semitones = ((72 if letter.islower() else 60)
                  + LETTER_SEMITONES[letter.upper()]
                  + 12 * (marks.count("'") - marks.count(","))
                  + (_ACCIDENTALS[accidental] if accidental
                     else key_shift.get(letter.upper(), 0)))
     try:
-        return check_midi(semitones), match.end()
+        return check_midi(semitones)
     except PitchError as exc:
         raise ParseError(
             str(exc), line=line_no, column=i + 1,
             rule_id="abc.pitch_range") from None
 
 
-def _scan_duration(text: str, i: int, line_no: int, event_column: int,
-                   unit_beats: tuple[int, int]) -> tuple[int, int]:
+def _ticks(digits: str, slashes: str, below: str, line_no: int, i: int,
+           event_column: int, unit_beats: tuple[int, int]) -> int:
     """The duration in ticks of the event at ``event_column`` whose
-    length multiplier starts at ``i``, and the index after it."""
-    match = _LENGTH_RE.match(text, i)
-    digits, slashes, below = match.groups()
-    where = {"line": line_no, "column": i + 1, "rule_id": "abc.parse"}
-    numerator = _number(digits, **where) if digits else 1
+    length multiplier, written from ``i``, has these three parts."""
+    numerator = _number(digits, line_no, i + 1) if digits else 1
     if below and len(slashes) > 1:
         raise _error("malformed duration", line_no, i)
-    denominator = _number(below, **where) if below else 2 ** len(slashes)
+    denominator = _number(below, line_no, i + 1) if below else \
+        2 ** len(slashes)
     if numerator == 0 or denominator == 0:
         raise _error("duration must be positive", line_no, i)
     unit_num, unit_den = unit_beats
     return beats_to_ticks(
         unit_num * numerator, unit_den * denominator, line=line_no,
-        column=event_column, rule_id="abc.duration_resolution"), match.end()
+        column=event_column, rule_id="abc.duration_resolution")
 
 
 def parse_abc(text: str,
@@ -340,7 +347,8 @@ def parse_abc(text: str,
         where = {"line": line_of["L"], "rule_id": "abc.header_unit"}
         match = _UNIT_RE.fullmatch(headers["L"])
         num, den = (0, 0) if not match else (
-            _number(part, **where) for part in match.groups())
+            _number(part, line_of["L"], rule_id="abc.header_unit")
+            for part in match.groups())
         if num == 0 or den == 0:
             raise ParseError(f"malformed L: field {headers['L']!r}", **where)
         unit = Fraction(num, den)

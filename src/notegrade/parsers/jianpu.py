@@ -21,7 +21,8 @@ import re
 from itertools import islice, takewhile
 
 from ..errors import ParseError, PitchError
-from ..pitch import JianpuNote, KeySignature, jianpu_to_midi
+from ..pitch import (MAJOR_SCALE_SEMITONES, MIDI_MAX, MIDI_MIN, JianpuNote,
+                     KeySignature, jianpu_to_midi)
 from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat,
                      ScoreDoc, TimeSignature, Violation, beats_to_ticks)
 
@@ -73,7 +74,10 @@ def _resolve_token(token: str, key: KeySignature, line_no: int,
         rule_id="jianpu.duration_resolution")
     if degree == 0:
         return duration, ()
-    try:
+    midi = key.base_midi + MAJOR_SCALE_SEMITONES[degree - 1] + 12 * octave_mod
+    if MIDI_MIN <= midi <= MIDI_MAX:
+        return duration, (midi,)
+    try:  # out of range: the checked call raises, with its message
         return duration, (jianpu_to_midi(JianpuNote(degree, octave_mod), key),)
     except PitchError as exc:
         raise ParseError(

@@ -17,6 +17,7 @@ from collections.abc import Container
 from ..errors import ParseError, PitchError
 from ..pitch import (
     FRET_MAX,
+    MIDI_MAX,
     STANDARD_TUNING,
     KeySignature,
     TabEvent,
@@ -33,6 +34,7 @@ _BAR_RE = re.compile(r"\|")
 _RUN_RE = re.compile(r"[0-9]+")
 _FRETLESS = str.maketrans("0123456789", "-" * 10)
 _ZERO_WIDTH = ("",) * 6
+_KEY, _METER = KeySignature.parse("C"), TimeSignature(4, 4)
 
 
 def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
@@ -86,19 +88,22 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
     distinct = dict.fromkeys(segments)
     midi_of: list[dict[str, int]] = []
     pitch_errors: list[tuple[int, int, str]] = []  # column, string, message
-    for string, ((line_no, _), body, pieces) in enumerate(
-            zip(non_blank, bodies, zip(*distinct)), start=1):
+    for string, ((line_no, _), body, pieces, open_midi) in enumerate(
+            zip(non_blank, bodies, zip(*distinct), tuning.base), start=1):
         midi, too_high, unplayable = {}, {}, {}
         for text in set(_RUN_RE.findall("|".join(pieces))):
             fret = text.lstrip("0") or "0"
             # Compare lengths first: int() refuses very long digit runs.
             if len(fret) > len(str(FRET_MAX)) or int(fret) > FRET_MAX:
                 too_high[text] = fret
-                continue
-            try:
-                midi[text] = tab_to_midi(TabEvent(string, int(fret)), tuning)
-            except PitchError as exc:
-                unplayable[text] = str(exc)
+            elif open_midi + int(fret) <= MIDI_MAX:
+                midi[text] = open_midi + int(fret)
+            else:  # out of range: the checked call raises, with its message
+                try:
+                    midi[text] = tab_to_midi(TabEvent(string, int(fret)),
+                                             tuning)
+                except PitchError as exc:
+                    unplayable[text] = str(exc)
         if too_high:
             run = _first_run(body, too_high)
             raise ParseError(
@@ -127,8 +132,8 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
 
     return ScoreDoc(
         format=NotationFormat.ASCII_TAB,
-        key=KeySignature.parse("C"),
-        meter=TimeSignature(4, 4),
+        key=_KEY,
+        meter=_METER,
         measures=tuple(measures),
         final_barline=bool(segments) and not last.events,
     )

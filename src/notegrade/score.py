@@ -43,9 +43,12 @@ class NotationFormat(enum.Enum):
     @classmethod
     def parse(cls, value: str) -> "NotationFormat":
         try:
-            return cls(value)
-        except ValueError:
+            return _FORMATS[value]  # a lookup costs less than the call
+        except KeyError:
             raise ParseError(f"unknown notation format {value!r}") from None
+
+
+_FORMATS = {fmt.value: fmt for fmt in NotationFormat}
 
 
 @dataclass(frozen=True)
@@ -205,6 +208,8 @@ class GroundTruth:
     meter: TimeSignature
     events: tuple[GroundTruthEvent, ...]
     tempo_bpm: float | None = None
+    # Its CanonicalSequence, when a batch has projected it (once per file).
+    projection: object = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .metrics import (AccuracyScore, MetricWeights, alignment_accuracy,
@@ -39,12 +39,14 @@ class Task(enum.Enum):
     @classmethod
     def parse(cls, value: str) -> "Task":
         try:
-            return cls(value)
-        except ValueError:
+            return _TASKS[value]  # a lookup costs less than Task(value)
+        except KeyError:
             raise ConfigError(f"unknown task {value!r}") from None
 
 
+_TASKS = {task.value: task for task in Task}
 SMG_RULE_COUNT = 5
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 @dataclass(frozen=True)
@@ -62,7 +64,7 @@ class SmgRuleReport:
         return sum(vars(self).values())
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return dict(vars(self))
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,7 @@ class TaskResult:
         if not self.valid:
             return None
         if self.task is Task.VSU:
-            return Fraction(1) if self.correct else Fraction(0)
+            return _ONE if self.correct else _ZERO
         if self.task is Task.SMG:
             return Fraction(self.technical, SMG_RULE_COUNT)
         return self.hybrid
@@ -161,12 +163,17 @@ def score_vsu(sample_id: str, answer: str, prediction: str) -> TaskResult:
 def _rejection(sample_id: str, task: Task, fmt: NotationFormat,
                diagnostics: tuple[str, ...]) -> TaskResult:
     no_duration_stream = fmt is NotationFormat.ASCII_TAB
-    zero = AccuracyScore(Fraction(0), 0, 0, 0)
+    zero = AccuracyScore(_ZERO, 0, 0, 0)
     return TaskResult(
         sample_id=sample_id, task=task,
         acc_pitch=zero,
         acc_duration=None if no_duration_stream else zero,
-        fmt_legal=False, hybrid=Fraction(0), diagnostics=diagnostics)
+        fmt_legal=False, hybrid=_ZERO, diagnostics=diagnostics)
+
+
+def projected(gt: GroundTruth) -> GroundTruth:
+    """``gt`` carrying its projection, which the scorers then reuse."""
+    return replace(gt, projection=project_ground_truth(gt))
 
 
 def _conversion_result(sample_id: str, task: Task, gt: GroundTruth,
@@ -181,7 +188,7 @@ def _conversion_result(sample_id: str, task: Task, gt: GroundTruth,
     if doc is None:
         diagnostics.append(f"unparseable: {verdict.error}")
         return _rejection(sample_id, task, fmt, tuple(diagnostics))
-    gt_seq, pred_seq = project_ground_truth(gt), project(doc)
+    gt_seq, pred_seq = gt.projection or project_ground_truth(gt), project(doc)
     if length_cap is not None:
         pred_len = len(pred_seq.pitch_tokens)
         gt_len = max(len(gt_seq.pitch_tokens), 1)

@@ -344,6 +344,49 @@ def test_batch_unwritable_output_leaves_no_report(tmp_path, capsys, out,
         "m.jsonl", "pred.txt"]
 
 
+@pytest.mark.parametrize("out, csv_out", [
+    ("r.csv.tmp", "r.csv"),
+    ("r.json", "r.json.tmp"),
+])
+def test_batch_report_named_as_the_other_reports_temp_file(tmp_path, capsys,
+                                                          out, csv_out):
+    _write(tmp_path / "pred.txt", "b")
+    manifest = _write(tmp_path / "m.jsonl", json.dumps(
+        {"id": "v1", "task": "vsu", "format": "staff",
+         "pred_path": "pred.txt", "answer": "b"}) + "\n")
+    assert main(["batch", "--manifest", manifest,
+                 "--out", str(tmp_path / out),
+                 "--csv", str(tmp_path / csv_out)]) == 0
+    assert capsys.readouterr().out.endswith(f"wrote {tmp_path / out}\n")
+    assert json.loads((tmp_path / out).read_text("utf-8"))["capability"] \
+        == 0.25
+    assert (tmp_path / csv_out).read_bytes().startswith(
+        b"task,format,count,invalid_count,mean\r\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == sorted(
+        ["m.jsonl", "pred.txt", out, csv_out])
+    # The reports get the mode of any file this process creates.
+    probe = tmp_path / "probe"
+    probe.write_text("", encoding="utf-8")
+    for name in (out, csv_out):
+        assert (tmp_path / name).stat().st_mode == probe.stat().st_mode
+
+
+def test_batch_leaves_a_file_named_as_a_temp_file_alone(tmp_path, capsys):
+    _write(tmp_path / "pred.txt", "b")
+    manifest = _write(tmp_path / "m.jsonl", json.dumps(
+        {"id": "v1", "task": "vsu", "format": "staff",
+         "pred_path": "pred.txt", "answer": "b"}) + "\n")
+    _write(tmp_path / "r.json.tmp", "someone else's")
+    assert main(["batch", "--manifest", manifest,
+                 "--out", str(tmp_path / "r.json")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "r.json.tmp").read_text("utf-8") == "someone else's"
+    assert json.loads((tmp_path / "r.json").read_text("utf-8"))["capability"] \
+        == 0.25
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "m.jsonl", "pred.txt", "r.json", "r.json.tmp"]
+
+
 @pytest.mark.parametrize("csv_out", ["r.json", "sub/../r.json"])
 def test_batch_csv_naming_the_report_is_refused(tmp_path, capsys, csv_out):
     _write(tmp_path / "pred.txt", "b")

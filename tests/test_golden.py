@@ -9,6 +9,9 @@ mismatches, illegal and unparseable predictions, and one sample that
 expected files only for an intended change of report bytes.
 """
 
+import os
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from notegrade.cli import ENV_CONFIG_VAR, main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -26,5 +30,27 @@ def test_batch_reproduces_the_golden_report(tmp_path, monkeypatch, capsys,
     assert main(["batch", "--manifest", str(GOLDEN / "manifest.jsonl"),
                  "--workers", str(workers), "--out", str(out),
                  "--csv", str(csv)]) == 0
+    assert out.read_bytes() == (GOLDEN / "expected_report.json").read_bytes()
+    assert csv.read_bytes() == (GOLDEN / "expected_report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("python", ["python3.10", "python3.12", "python3.13"])
+def test_other_interpreters_write_the_golden_report(tmp_path, python):
+    """The report bytes must not depend on the interpreter's version:
+    float repr, sort order and the writer's escapes are the stdlib's."""
+    exe = shutil.which(python)
+    # A version manager's shim may be on PATH without its interpreter.
+    if exe is None or subprocess.run([exe, "-c", ""], capture_output=True,
+                                     timeout=60).returncode != 0:
+        pytest.skip(f"{python} is not installed")
+    out, csv = tmp_path / "report.json", tmp_path / "report.csv"
+    env = dict(os.environ, PYTHONPATH=str(SRC),
+               **{ENV_CONFIG_VAR: str(GOLDEN / "config.json")})
+    done = subprocess.run(
+        [exe, "-m", "notegrade.cli", "batch",
+         "--manifest", str(GOLDEN / "manifest.jsonl"),
+         "--out", str(out), "--csv", str(csv)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
     assert out.read_bytes() == (GOLDEN / "expected_report.json").read_bytes()
     assert csv.read_bytes() == (GOLDEN / "expected_report.csv").read_bytes()

@@ -4,15 +4,16 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from notegrade import harness
+from notegrade import harness, tasks
 from notegrade.cli import main
 from notegrade.errors import ConfigError, SchemaError
 from notegrade.harness import (
     EvalConfig,
     Report,
     SampleRecord,
+    json_text,
     load_external_scores,
     load_manifest,
     run_batch,
@@ -597,3 +598,69 @@ def test_manifest_rows_end_at_newline_only(tmp_path):
     manifest = _write(tmp_path / "m.jsonl", text + "\r\n\n")
     (record,) = load_manifest(manifest)
     assert record.answer == "b\u2028line two\u0085"
+
+
+def test_run_batch_projects_each_ground_truth_file_once(tmp_path, monkeypatch):
+    second = dict(SCALE_GT, id="cnc-2")
+    _write(tmp_path / "gt1.json", json.dumps(SCALE_GT))
+    _write(tmp_path / "gt2.json", json.dumps(second))
+    rows = []
+    for i in range(6):
+        _write(tmp_path / f"p{i}.abc", SCALE_ABC)
+        rows.append({"id": f"s{i}", "task": ("cnc", "ast")[i % 2],
+                     "format": "staff", "pred_path": f"p{i}.abc",
+                     "gt_path": f"gt{1 + i % 3 // 2}.json"})
+    records = load_manifest(_manifest(tmp_path, rows))
+    projected = []
+    original = tasks.project_ground_truth
+
+    def counted(gt):
+        projected.append(gt.id)
+        return original(gt)
+
+    monkeypatch.setattr(tasks, "project_ground_truth", counted)
+    report = run_batch(records, EvalConfig())
+    assert sorted(projected) == ["cnc-1", "cnc-2"]
+    assert all(result.hybrid == 1 for result in report.results)
+
+
+def test_a_report_is_aggregated_once(tmp_path, monkeypatch):
+    report = run_batch(load_manifest(_full_fixture(tmp_path)), EvalConfig())
+    normalized = []
+    original = TaskResult.normalized
+
+    def counted(self):
+        normalized.append(self.sample_id)
+        return original(self)
+
+    monkeypatch.setattr(TaskResult, "normalized", counted)
+    write_report(report, tmp_path / "r.json", tmp_path / "r.csv")
+    # One call per sample aggregates, and one more writes its entry.
+    assert sorted(normalized) == sorted(2 * [r.sample_id
+                                             for r in report.results])
+    normalized.clear()
+    report.capability()
+    report.task_means()
+    assert normalized == []
+
+
+# JSON values as json.loads returns them, with strings of any code point,
+# lone surrogates included.
+_ANY_TEXT = st.text(st.characters(exclude_categories=()))
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | _ANY_TEXT
+    | st.sampled_from([10 ** 40, -(2 ** 100)]),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_ANY_TEXT, inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=400, deadline=None)
+@given(value=_JSON_VALUES)
+@example(value={"b": [-0.0, 5e-324, 1e16, float("nan"), float("inf"),
+                      float("-inf")], "a": [{}, [], "", {"": None}]})
+@example(value=["\u00e9\u4e2d\U0001f3b5", "\x00\x1f\x7f\t\n\"\\",
+                "\ud800", "\udfff\ud83c", "\u2028\u0085"])
+@example(value=[True, False, 0, -1, 2 ** 64, 1.5, -2.5e-300])
+def test_json_text_is_json_dumps_with_sorted_keys_and_indent(value):
+    assert json_text(value) == json.dumps(value, sort_keys=True, indent=2)
