@@ -16,6 +16,7 @@ import argparse
 import os
 import sys
 from fractions import Fraction
+from functools import cache
 from pathlib import Path
 
 from .errors import (ConfigError, NotegradeError, ParseError, SchemaError,
@@ -182,6 +183,7 @@ def _cmd_project(args: argparse.Namespace, env: dict) -> int:
     return 0
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="notegrade",
                      description="Deterministic scoring for symbolic music "

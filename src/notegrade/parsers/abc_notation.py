@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
-from itertools import islice, takewhile
 
 from ..errors import ParseError, PitchError
 from ..pitch import LETTER_SEMITONES, KeySignature, check_midi, sort_chord
 from ..score import (Event, Measure, NotationFormat, ScoreDoc,
-                     TimeSignature, Violation, beats_to_ticks)
+                     TimeSignature, Violation, beats_to_ticks, split_lines)
 
 # Circle-of-fifths signature sizes for the standard major keys; positive
 # counts are sharps, negative are flats.
@@ -42,10 +41,9 @@ _ACCIDENTALS = {"^": 1, "_": -1, "=": 0}
 # or a note with its length (or a stray accidental), a chord's "[", or
 # any other character. The outer group that matched tells which. In a
 # rest or note, groups 4-6 are a note's accidental, letter and octave
-# marks, and groups 7-9 the length's parts, as in _PITCH_RE, _LENGTH_RE.
-_ITEM_RE = re.compile(r"\s*(?:(\|\]|\|\||\|)|(-)|"
-                      r"((?:z|([\^_=]?)([A-Ga-g])([',]*))([0-9]*)(/*)([0-9]*)"
-                      r"|[\^_=])|(\[)|(\S))")
+# marks (_PITCH_RE), and groups 7-9 the length's parts (_LENGTH_RE).
+_ITEM_RE = re.compile(rf"\s*(?:(\|\]|\|\||\|)|(-)|((?:z|{_PITCH_RE.pattern})"
+                      rf"{_LENGTH_RE.pattern}|[\^_=])|(\[)|(\S))")
 _BAR, _TIE, _SOUND, _LENGTH, _CHORD = 1, 2, 3, 7, 10
 
 
@@ -80,7 +78,7 @@ def split_headers(text: str, violations: list[Violation] | None = None,
     """
     headers: dict[str, str] = {}
     header_lines: dict[str, int] = {}
-    lines = text.splitlines()
+    lines = split_lines(text)
     error = None
     for idx, raw in enumerate(lines, start=1):
         line = raw.strip()
@@ -149,13 +147,13 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
     Each line is read item by item (``_ITEM_RE``), and each distinct note
     or rest text is resolved once. Every measure starts in the same
     state, so the measure written as each distinct text from a line start
-    or a barline to the next barline is built once: kept when the barline
-    closes it, and then taken, with the run of kept texts after it, by
-    lookups into the line's parts between barlines. A text that raises is
-    not kept, and a measure that spans lines is read item by item. A line
-    read from a clean state (nothing pending, no "|]", a measure closed,
-    so that an opening barline is an empty measure) that leaves nothing
-    pending is kept too, as the measures it closed, for one lookup.
+    or a barline to the next barline is built once, kept when the barline
+    closes it, and then taken with one lookup where it starts. A text
+    that raises is not kept, and a measure that spans lines is read item
+    by item. A line read from a clean state (nothing pending, no "|]", a
+    measure closed, so that an opening barline is an empty measure) that
+    leaves nothing pending is kept too, as the measures it closed, for
+    one lookup.
     """
     key_shift = key_signature_accidentals(key_name)
     unit_beats = (unit.numerator * 4, unit.denominator)
@@ -173,28 +171,16 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
         if clean and text in line_of:
             measures += line_of[text]
             continue
-        parts = text.split("|")
-        bars = len(parts) - 1
-        # k counts the "|" before i: a measure starting at i is written
-        # as parts[k], up to the next barline if k < bars.
-        i, k, key = 0, 0, None
+        i, key = 0, None
         while i < len(text):
             memo = None
             if not pending and not finished:
-                key = parts[k] if k < bars else None
-                if key in measure_of:
-                    # A miss is None. The run ends past its last "|", or
-                    # at it if "||" or "|]" begins there, to be read below.
-                    hits = list(takewhile(
-                        bool, map(measure_of.get, islice(parts, k, bars))))
-                    n = len(hits)
-                    measures += hits
-                    i += n + sum(map(len, islice(parts, k, k + n)))
-                    k += n
-                    if parts[k][:1] != "]" and (parts[k] or k == bars):
-                        continue
-                    memo = measures.pop()
-                    i, k = i - 1, k - 1
+                # A kept measure starting at i; its barline is read below.
+                end = text.find("|", i)
+                key = text[i:end] if end >= 0 else None
+                memo = measure_of.get(key)
+                if memo is not None:
+                    i = end
             item = _ITEM_RE.match(text, i)
             if item is None:
                 break
@@ -222,7 +208,6 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
                     raise _error("empty measure", line_no, start)
                 pending, onset = [], 0
                 finished = item[kind] == "|]"
-                k += len(item[kind])
                 continue
             elif kind == _TIE:
                 # A tied last event means the item before was a tie too.

@@ -18,13 +18,12 @@ measure it spans.
 from __future__ import annotations
 
 import re
-from itertools import islice, takewhile
 
 from ..errors import ParseError, PitchError
 from ..pitch import (MAJOR_SCALE_SEMITONES, MIDI_MAX, MIDI_MIN, JianpuNote,
                      KeySignature, jianpu_to_midi)
-from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat,
-                     ScoreDoc, TimeSignature, Violation, beats_to_ticks)
+from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat, ScoreDoc,
+                     TimeSignature, Violation, beats_to_ticks, split_lines)
 
 _DIRECTIVE_RE = re.compile(r"1=([A-G][#b]?)(?:\s+([0-9]+/[0-9]+))?")
 _TOKEN_RE = re.compile(r"^([0-7])('+|,+)?(_+)?$")
@@ -95,7 +94,7 @@ def parse_jianpu(text: str,
     Music that does not end with a barline is a soft violation, added
     to ``violations`` when it is given.
     """
-    lines = list(enumerate(text.splitlines(), start=1))
+    lines = list(enumerate(split_lines(text), start=1))
     directive_idx = next(
         (idx for idx, (_, raw) in enumerate(lines) if raw.strip()), None)
     if directive_idx is None:
@@ -146,10 +145,10 @@ def parse_jianpu(text: str,
 
     # A measure between two barlines of one line starts in the same state
     # wherever it appears, unless a dash opens it, so each distinct text
-    # is read once and kept, and a run of kept texts is taken by lookups
-    # into the line's parts; a text that raises is not kept. So is a
-    # line that starts and ends with nothing pending after a barline, and
-    # whose first word is not a dash (which rebuilds the measure before).
+    # is read once and kept, then taken with one lookup; a text that
+    # raises is not kept. So is a line that starts and ends with nothing
+    # pending after a barline, and whose first word is not a dash (which
+    # rebuilds the measure before).
     line_of: dict[str, tuple[Measure, ...]] = {}
     for line_no, line in lines[directive_idx + 1:]:
         clean = bar_seen and not pending
@@ -159,21 +158,16 @@ def parse_jianpu(text: str,
         first = len(closed)
         parts = _BAR_RE.split(line)
         bars = len(parts) - 1
-        k = offset = 0  # parts[k] starts at line[offset]
-        while True:
-            if not pending and k < bars and parts[k].strip() in measure_of:
-                hits = list(takewhile(bool, map(
-                    measure_of.get, map(str.strip, islice(parts, k, bars)))))
-                closed += hits
-                offset += len(hits) + sum(
-                    map(len, islice(parts, k, k + len(hits))))
-                k += len(hits)
-            part = parts[k]
+        offset = 0  # parts[k] starts at line[offset]
+        for k, part in enumerate(parts):
             written = part.strip()
             kept = not pending and not written.startswith("-")
-            if written:
-                for word in _WORD_RE.finditer(part):
-                    read(word[0], line_no, offset + word.start() + 1)
+            if kept and k < bars and written in measure_of:
+                closed.append(measure_of[written])
+                offset += len(part) + 1
+                continue
+            for word in _WORD_RE.finditer(part):
+                read(word[0], line_no, offset + word.start() + 1)
             if k == bars:
                 break
             if pending:
@@ -187,7 +181,6 @@ def parse_jianpu(text: str,
                                  rule_id="jianpu.measure_bars")
             bar_seen = True
             offset += len(part) + 1
-            k += 1
         if clean and not pending and not line.lstrip().startswith("-"):
             line_of[line] = tuple(closed[first:])
 

@@ -25,7 +25,7 @@ from ..pitch import (
     tab_to_midi,
 )
 from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat, ScoreDoc,
-                     TimeSignature)
+                     TimeSignature, split_lines)
 
 STRING_LABELS = ("e|", "B|", "G|", "D|", "A|", "E|")
 
@@ -40,7 +40,7 @@ _KEY, _METER = KeySignature.parse("C"), TimeSignature(4, 4)
 def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
     """Parse tablature text, raising ParseError on any violation."""
     non_blank = [(no, raw.rstrip()) for no, raw in
-                 enumerate(text.splitlines(), start=1) if raw.strip()]
+                 enumerate(split_lines(text), start=1) if raw.strip()]
     if len(non_blank) != 6:
         raise ParseError(
             f"tablature needs exactly 6 lines, got {len(non_blank)}",

@@ -33,6 +33,14 @@ def beats_to_ticks(numerator: int, denominator: int, **where) -> int:
     return ticks
 
 
+def split_lines(text: str) -> list[str]:
+    r"""``text.splitlines()``, but a line ends only at "\r\n", "\r" or
+    "\n", not at the other breaks it knows (form feed, U+2028, ...)."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text.removesuffix("\n").split("\n") if text else []
+
+
 class NotationFormat(enum.Enum):
     """The three notation systems, with their wire names."""
 

@@ -11,7 +11,7 @@ so a parser that builds each distinct measure once gains nothing: a
 seeded draw of eight eighth notes to a measure and four measures to a
 line in staff and jianpu, and four one-fret frames to a measure in tab.
 
-Run as a script to print how long ``score_ast`` takes on a 1 MB
+Run as a script to print the CPU time ``score_ast`` takes on a 1 MB
 prediction of each kind in each format (best of three runs):
 
     PYTHONPATH=src python3 tests/degenerate.py
@@ -124,18 +124,19 @@ def score(fmt: str, text: str):
 
 def timings(fmt: str, sizes: tuple[int, ...], runs: int = 3,
             prediction=degenerate_prediction) -> list[list[float]]:
-    """For each of ``runs`` rounds, the seconds one ``score_ast`` call
-    takes on a ``prediction`` of each size. The sizes take turns, so that
-    a slow spell of the machine hits them alike."""
+    """For each of ``runs`` rounds, the CPU seconds one ``score_ast``
+    call takes on a ``prediction`` of each size. The sizes take turns, so
+    that a slow spell of the machine hits them alike, and the process's
+    own CPU clock leaves out the time other work holds the cores."""
     texts = [prediction(fmt, size) for size in sizes]
     rounds = []
     for _ in range(runs):
         times = []
         for text in texts:
             gc.collect()
-            start = time.perf_counter()
+            start = time.process_time()
             score(fmt, text)
-            times.append(time.perf_counter() - start)
+            times.append(time.process_time() - start)
         rounds.append(times)
     return rounds
 

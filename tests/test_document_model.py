@@ -336,7 +336,10 @@ def test_repeated_measures_parse_as_they_do_alone(fmt, data):
 
 @pytest.mark.parametrize("fmt,text", [
     ("staff", _ABC_HEAD + "A B c d|A B c d|\nA B c d|]\n"),
+    # On one line, replays that end at "||" and at "|]".
+    ("staff", _ABC_HEAD + "A B|A B||A B|]\n"),
     ("jianpu", "1=C\n1 2 3 4 | 1 2 3 4 |\n1 2 3 4 |\n"),
+    ("jianpu", "1=C\n1 2 | 1 2 | 1 2 |\n"),
     ("tab", "".join(label + "-3-5-|-3-5-|-3-5-|\n" for label in _TAB_LABELS)),
 ])
 def test_a_repeated_measure_is_built_once(fmt, text):

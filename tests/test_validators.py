@@ -419,3 +419,28 @@ def test_the_finest_durations_still_parse():
     doc = parse_jianpu("1=C\n1" + "_" * 12 + " 2 |\n")
     assert [e.duration_beats for e in doc.events()] == [
         Fraction(1, 4096), Fraction(1)]
+
+
+# str.splitlines also ends a line at each of these; a prediction's lines
+# end only at "\r\n", "\r" or "\n".
+_OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                      "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", _OTHER_LINE_BREAKS)
+@pytest.mark.parametrize("fmt,text,rule_id", [
+    (STAFF, "X:1{}M:4/4\nL:1/8\nK:C\nC D E F|]", "abc.header_x"),
+    (JIANPU, "1=C{}1 2 3 4 |", "jianpu.key_directive"),
+    (TAB, GOOD_TAB.replace("\n", "{}", 1), "tab.six_lines"),
+])
+def test_only_cr_and_lf_end_a_line(fmt, text, rule_id, brk):
+    verdict = validate_format(fmt, text.format(brk))
+    assert not verdict.legal and rule_id in _rules(verdict)
+
+
+@pytest.mark.parametrize("brk", _OTHER_LINE_BREAKS)
+def test_an_error_after_another_line_break_keeps_its_line(brk):
+    with pytest.raises(ParseError) as raised:
+        parse_abc(f"X:1\nM:4/4\nL:1/8\nK:C\nC D{brk}E F|x\n")
+    assert (raised.value.rule_id, raised.value.line,
+            raised.value.column) == ("abc.parse", 5, 9)
