@@ -6,8 +6,6 @@ pitch and duration streams, and scores model outputs on four tasks with
 exact rational arithmetic.
 """
 
-from importlib import metadata
-
 from .errors import (
     ConfigError,
     NotegradeError,
@@ -82,10 +80,18 @@ from .tasks import (
     score_vsu,
 )
 
-try:
-    __version__ = metadata.version("notegrade")
-except metadata.PackageNotFoundError:
-    __version__ = "0+unknown"
+
+def __getattr__(name: str) -> str:
+    """Look ``__version__`` up on first read, not at import (PEP 562)."""
+    if name != "__version__":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import metadata
+    try:
+        version = metadata.version("notegrade")
+    except metadata.PackageNotFoundError:
+        version = "0+unknown"
+    return globals().setdefault(name, version)
+
 
 __all__ = [
     "AccuracyScore",

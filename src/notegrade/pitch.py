@@ -33,7 +33,7 @@ MAJOR_SCALE_SEMITONES = (0, 2, 4, 5, 7, 9, 11)
 # octave region (tonic pitch class added to 60).
 TONIC_BASE_MIDI = 60
 
-_PITCH_NAME_RE = re.compile(r"([A-Ga-g])([#b]?)(-?[0-9]+)")
+_PITCH_NAME_RE = re.compile(r"([A-Ga-g])([#b]?)(-?)([0-9]+)")
 
 
 def check_midi(value: int) -> int:
@@ -91,13 +91,17 @@ def scientific_to_midi(pitch: ScientificPitch | str) -> int:
     match = _PITCH_NAME_RE.fullmatch(pitch.strip())
     if not match:
         raise ParseError(f"malformed pitch name {pitch!r}")
-    letter, accidental, octave_str = match.groups()
+    letter, accidental, sign, digits = match.groups()
+    digits = digits.lstrip("0") or "0"
+    if len(digits) > 2:  # checked before int(), which caps its digits
+        raise PitchError(f"pitch name with a {len(digits)}-digit octave is "
+                         f"outside MIDI {MIDI_MIN}..{MIDI_MAX}")
     semis = LETTER_SEMITONES[letter.upper()]
     if accidental == "#":
         semis += 1
     elif accidental == "b":
         semis -= 1
-    midi = (int(octave_str) + 1) * 12 + semis
+    midi = (int(sign + digits) + 1) * 12 + semis
     if not MIDI_MIN <= midi <= MIDI_MAX:
         raise PitchError(f"pitch {pitch!r} maps to MIDI {midi}, outside 0..127")
     return midi

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -590,6 +591,23 @@ def test_console_script_installed(tmp_path):
             env=run_env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout)["legal"] is True
+
+
+def test_installed_copy_reads_its_version_from_metadata(tmp_path):
+    # Without the metadata the install wrote, the version reads 0+unknown.
+    _, purelib = _install_copy(tmp_path)
+    version = re.search(r'^version = "([^"]+)"$',
+                        (REPO_ROOT / "pyproject.toml").read_text(),
+                        re.MULTILINE).group(1)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import notegrade; print(notegrade.__file__, notegrade.__version__)"],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=purelib),
+        capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    path, printed = proc.stdout.split()
+    assert Path(path).is_relative_to(purelib)
+    assert printed == version
 
 
 # One legal prediction in each format, and one with a flaw in its last

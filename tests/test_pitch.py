@@ -80,6 +80,20 @@ def test_scientific_to_midi_rejects_out_of_range():
         scientific_to_midi("A9")
 
 
+@pytest.mark.parametrize("octave", [
+    "9" * 5000, "-" + "9" * 5000, "100", "-" + "0" * 5000 + "100",
+], ids=["5000_digits", "minus_5000_digits", "3_digits", "zeros_3_digits"])
+def test_an_octave_of_many_digits_is_out_of_range(octave):
+    # A length check, not int(), turns away more digits than int() reads.
+    with pytest.raises(PitchError, match="outside"):
+        scientific_to_midi("C" + octave)
+
+
+def test_leading_zeros_do_not_count_as_octave_digits():
+    assert scientific_to_midi("C" + "0" * 5000 + "4") == 60
+    assert scientific_to_midi("C-01") == 0
+
+
 def test_pitch_class_names():
     assert pitch_class_from_name("C") == 0
     assert pitch_class_from_name("F#") == 6

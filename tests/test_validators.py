@@ -173,13 +173,24 @@ def test_document_and_error_stay_out_of_comparison_and_json():
 
 _ORACLE_HEADER_RE = re.compile(r"^([A-Za-z]):(.*)$")
 
+# str.splitlines also ends a line at each of these; a prediction's lines
+# end only at "\r\n", "\r" or "\n".
+_OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
+                      "\u2028", "\u2029"]
+
+
+def _oracle_lines(text):
+    """``text.splitlines()``, with lines ended at CR LF, CR and LF only."""
+    lines = re.split(r"\r\n|\r|\n", text)
+    return lines[:-1] if lines[-1] == "" else lines
+
 
 def _oracle_abc_structural(text):
     violations = []
     seen = set()
     body = []
     in_body = False
-    for raw in text.splitlines():
+    for raw in _oracle_lines(text):
         if in_body:
             body.append(raw)
             continue
@@ -209,7 +220,7 @@ def _oracle_abc_structural(text):
 def _oracle_header_error(text):
     """Raise the header error the old split_headers raised first."""
     seen = set()
-    for idx, raw in enumerate(text.splitlines(), start=1):
+    for idx, raw in enumerate(_oracle_lines(text), start=1):
         line = raw.strip()
         if not line:
             continue
@@ -235,7 +246,7 @@ def _oracle_header_error(text):
 def _oracle_jianpu_structural(text):
     directive_seen = False
     body = []
-    for raw in text.splitlines():
+    for raw in _oracle_lines(text):
         if directive_seen:
             body.append(raw)
         elif raw.strip():
@@ -276,6 +287,19 @@ _ABC_BODY = (
 )
 
 
+def _with_other_breaks(draw, lines):
+    """Put one of the breaks that do not end a line into about one line in
+    five, at any position, so that oracle and parsers meet them."""
+    out = []
+    for line in lines:
+        if not draw(st.integers(0, 4)):
+            at = draw(st.integers(0, len(line)))
+            line = (line[:at] + draw(st.sampled_from(_OTHER_LINE_BREAKS))
+                    + line[at:])
+        out.append(line)
+    return out
+
+
 @st.composite
 def _abc_documents(draw):
     """Headers shuffled, dropped, duplicated or unsupported; a body line
@@ -292,7 +316,8 @@ def _abc_documents(draw):
                                              "K:C", "K:D"))))
     body = draw(st.lists(st.sampled_from(_ABC_BODY), max_size=4))
     newline = draw(st.sampled_from(("\n", "\r\n")))
-    return newline.join(headers + body) + draw(st.sampled_from(("", newline)))
+    lines = _with_other_breaks(draw, headers + body)
+    return newline.join(lines) + draw(st.sampled_from(("", newline)))
 
 
 _JIANPU_DIRECTIVES = ("1=C", "1=C 4/4", "1=G 3/4", "1=Bb 2/4", "1=H",
@@ -310,6 +335,7 @@ def _jianpu_documents(draw):
         lines.append(draw(st.sampled_from(_JIANPU_DIRECTIVES)))
     lines += draw(st.lists(st.sampled_from(_JIANPU_BODY), max_size=5))
     newline = draw(st.sampled_from(("\n", "\r\n")))
+    lines = _with_other_breaks(draw, lines)
     return newline.join(lines) + draw(st.sampled_from(("", newline)))
 
 
@@ -419,12 +445,6 @@ def test_the_finest_durations_still_parse():
     doc = parse_jianpu("1=C\n1" + "_" * 12 + " 2 |\n")
     assert [e.duration_beats for e in doc.events()] == [
         Fraction(1, 4096), Fraction(1)]
-
-
-# str.splitlines also ends a line at each of these; a prediction's lines
-# end only at "\r\n", "\r" or "\n".
-_OTHER_LINE_BREAKS = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85",
-                      "\u2028", "\u2029"]
 
 
 @pytest.mark.parametrize("brk", _OTHER_LINE_BREAKS)
