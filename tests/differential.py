@@ -1,0 +1,157 @@
+"""A differential check of the staff, jianpu and tab parsers.
+
+Writes seeded documents in every layout the parsers read differently:
+one copy of a passage to a line, all copies on one line, each copy
+broken inside a measure, line breaks at random, jianpu measures opened
+by a dash, and any of these with an error written into one copy or
+into all of them. For each document it prints one line: the document's
+number, format and layout, and a digest of what ``validate_format``
+makes of it (the verdict's JSON, then the error's rule id, message,
+line and column, or else the measures' events and the final barline).
+
+The tier-1 tests compare a parse with other parses by the same code.
+This compares two versions of the code: run it on both trees with the
+same seed, and the outputs must not differ.
+
+    PYTHONPATH=src python3 tests/differential.py SEED [COUNT] > new.txt
+    PYTHONPATH=/path/to/other/src python3 tests/differential.py SEED \\
+        [COUNT] > old.txt
+    diff old.txt new.txt
+
+COUNT, the number of documents, is 10,000 unless given.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+import sys
+
+from notegrade.parsers import validate_format
+from notegrade.score import NotationFormat
+
+_STAFF_NOTES = ("C", "D", "E", "F", "G", "A", "B", "c", "d", "e", "^F", "_B",
+                "=F", "c'", "C,", "z", "C2", "D/", "E//", "F3/2", "G3",
+                "[CEG]", "[DF]2", "A-", "B2-")
+_STAFF_BARS = ("|", "|", "|", "||")
+# Items that make a staff document raise: an unknown character, a tied
+# rest, a stray tie, a final barline inside the music, an empty measure,
+# a length finer than a tick, a stray accidental, an unterminated chord.
+_STAFF_ERRORS = ("H", "z-", "-", "|]", "| |", "C/3", "^", "[CE")
+_JIANPU_NOTES = ("1", "2", "3", "4", "5", "6", "7", "0", "1'", "5,", "3_",
+                 "6__", "2'_", "-", "-")
+# A degree out of range, an unknown token, a rest with an octave mark, an
+# empty measure, a length finer than a tick, a dash with no note before.
+_JIANPU_ERRORS = ("8", "9", "1x", "0'", "| |", "1" + "_" * 13, "-")
+_TAB_LABELS = ("e|", "B|", "G|", "D|", "A|", "E|")
+LAYOUTS = ("aligned", "one_line", "straddled", "random")
+
+
+def _passage(rng: random.Random, fmt: str) -> list[list[str]]:
+    """Up to twelve measures drawn, with repetition, from a pool of up to
+    four, each a list of items."""
+    notes = _STAFF_NOTES if fmt == "staff" else _JIANPU_NOTES
+    pool = []
+    for _ in range(rng.randint(1, 4)):
+        measure = [rng.choice(notes) for _ in range(rng.randint(1, 5))]
+        if fmt == "jianpu" and measure[0] == "-" and rng.random() < 0.7:
+            measure[0] = "1"  # mostly not dash-opened
+        pool.append(measure)
+    return [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+
+
+def _gaps(rng: random.Random, layout: str, items: list[str]) -> list[str]:
+    """What follows each item of a copy but its last: a space or a line
+    break. Every copy has the same gaps, so that its lines repeat."""
+    gaps = [" "] * (len(items) + 1)  # a mark may lengthen a copy by one
+    if layout == "straddled":
+        gaps[0] = "\n"
+    elif layout == "random":
+        gaps = [rng.choice((" ", " ", "\n")) for _ in gaps]
+    return gaps
+
+
+def staff_or_jianpu(rng: random.Random, fmt: str) -> tuple[str, str]:
+    """A document of a passage written up to six times, and its layout."""
+    bars = _STAFF_BARS if fmt == "staff" else ("|",)
+    items: list[str] = ["|"] if rng.random() < 0.2 else []  # opening bar
+    for measure in _passage(rng, fmt):
+        items += measure + [rng.choice(bars)]
+    layout = rng.choice(LAYOUTS)
+    gaps = _gaps(rng, layout, items)
+    copies = [list(items) for _ in range(rng.randint(1, 6))]
+    if rng.random() < 0.3:
+        mark = rng.choice(_STAFF_ERRORS if fmt == "staff" else _JIANPU_ERRORS)
+        at = rng.randrange(len(items) + 1)
+        for copy in copies if rng.random() < 0.5 else [rng.choice(copies)]:
+            copy.insert(at, mark)
+        layout += "+error"
+    between = " " if layout.startswith("one_line") else "\n"
+    body = between.join("".join(map(str.__add__, copy, gaps[:len(copy) - 1]
+                                    + [""])) for copy in copies)
+    if rng.random() < 0.15:  # no final barline
+        body = body.rstrip("|").rstrip()
+    elif fmt == "staff" and rng.random() < 0.5:
+        body = body.rstrip("|") + "|]"
+    if fmt == "staff":
+        key = rng.choice(("C", "D", "Bb", "F#"))
+        meter = rng.choice(("4/4", "3/4", "6/8"))
+        return f"X:1\nM:{meter}\nL:1/8\nK:{key}\n{body}\n", layout
+    key = rng.choice(("C", "G", "Eb", "F#"))
+    return f"1={key} {rng.choice(('4/4', '3/4'))}\n{body}\n", layout
+
+
+def tab(rng: random.Random) -> tuple[str, str]:
+    """Six strings of measures drawn from a pool; maybe a fret out of
+    range, a barline out of line, or no final barline."""
+    pool = []
+    for _ in range(rng.randint(1, 3)):
+        slots = rng.randint(1, 3)
+        cells = [["-"] * (3 * slots + 1) for _ in range(6)]
+        for slot in range(slots):
+            for string in rng.sample(range(6), rng.randint(0, 3)):
+                fret = str(rng.randint(0, 12))
+                cells[string][3 * slot + 1:3 * slot + 1 + len(fret)] = fret
+        pool.append(["".join(cell) for cell in cells])
+    order = [rng.choice(pool) for _ in range(rng.randint(1, 12))]
+    strings = ["|".join(measure[s] for measure in order) for s in range(6)]
+    kind = "repeated"
+    if rng.random() < 0.3:
+        s = rng.randrange(6)
+        at = rng.randrange(len(strings[s]))
+        mark = rng.choice(("99", "|"))
+        strings[s] = strings[s][:at] + mark + strings[s][at + len(mark):]
+        kind += "+error"
+    end = "" if rng.random() < 0.15 else "|"
+    return "".join(label + string + end + "\n"
+                   for label, string in zip(_TAB_LABELS, strings)), kind
+
+
+def digest(fmt: str, text: str) -> str:
+    """A short hash of what ``validate_format`` makes of ``text``."""
+    verdict = validate_format(NotationFormat(fmt), text)
+    parts: list = [json.dumps(verdict.to_json_dict(), sort_keys=True)]
+    if verdict.error is not None:
+        error = verdict.error
+        parts.append((error.rule_id, error.message, error.line, error.column))
+    else:
+        parts.append(([tuple(map(tuple, m.events))
+                       for m in verdict.doc.measures],
+                       verdict.doc.final_barline))
+    return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
+
+
+def main(argv: list[str]) -> None:
+    seed = int(argv[1])
+    count = int(argv[2]) if len(argv) > 2 else 10_000
+    rng = random.Random(f"differential:{seed}")
+    for n in range(count):
+        fmt = ("staff", "jianpu", "tab")[n % 3]
+        text, layout = tab(rng) if fmt == "tab" else \
+            staff_or_jianpu(rng, fmt)
+        print(n, fmt, layout, digest(fmt, text))
+
+
+if __name__ == "__main__":
+    main(sys.argv)

@@ -18,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from notegrade.errors import NotegradeError, ParseError
 from notegrade.parsers import parse_abc, parse_ascii_tab, parse_jianpu
 from notegrade.pitch import Tuning
+from notegrade.projection import project
 from notegrade.score import TICKS_PER_BEAT, Event, Measure, TimeSignature
 
 # --- renderers --------------------------------------------------------------
@@ -348,6 +349,20 @@ def test_a_repeated_measure_is_built_once(fmt, text):
 
 
 @pytest.mark.parametrize("fmt,text", [
+    ("staff", _ABC_HEAD + "A\n" + "B c d|A\n" * 3 + "B c d|]\n"),
+    ("jianpu", "1=C\n1\n" + "2 3 4 | 1\n" * 3 + "2 3 4 |\n"),
+])
+def test_a_repeated_measure_broken_over_lines_is_built_once(fmt, text):
+    # Each copy breaks after its first note. The first line that closes a
+    # measure follows no closed measure (or, in jianpu, no barline), and
+    # the last ends the tune; each line between starts in the state the
+    # one before it leaves, so the later copies are one lookup.
+    first, second, third, last = _PARSERS[fmt](text).measures
+    assert third is second
+    assert first == second == last
+
+
+@pytest.mark.parametrize("fmt,text", [
     ("staff", _ABC_HEAD + "A B\nc d|c d|]\n"),
     ("jianpu", "1=C\n1 2\n3 4 | 3 4 |\n"),
 ])
@@ -428,11 +443,11 @@ def test_a_dash_opening_a_measure_leaves_earlier_copies_untied():
 
 # --- repeated lines ---------------------------------------------------------
 
-# The parsers keep the measures of a line read from a clean state and
-# take them again where the line repeats. Each error is in a line that
-# did not start or did not end clean, or is the first copy of its line;
-# its rule id, line and column are the ones the parser reported before
-# lines were reused.
+# The parsers keep each line under its text and the state it starts in,
+# and take its measures again where the same text starts in the same
+# state. Each error is in a line whose text is new, or that starts in a
+# state the same text has not started in before; its rule id, line and
+# column are the ones the parser reported before lines were reused.
 @pytest.mark.parametrize("fmt,text,rule_id,line,column", [
     # An opening barline is an empty measure after the first body line.
     ("staff", _ABC_HEAD + "|C D|\n|C D|\n", "abc.parse", 6, 1),
@@ -477,6 +492,71 @@ def test_a_repeated_line_opened_by_a_dash_holds_each_note_before():
     assert (first.events[-1].tied, second.events[-1].tied) == (True, True)
     assert not third.events[-1].tied
     assert (second.events[0].pitches, third.events[0].pitches) == ((62,), (64,))
+
+
+# --- layout -----------------------------------------------------------------
+
+# Items that raise somewhere in a body: in staff an unknown mark, a tie
+# with no note before it, a tied rest, a final barline before more music
+# and a length finer than a tick; in jianpu a degree out of range, a rest
+# with an octave mark and a length finer than a tick. A jianpu dash
+# raises where no note comes before it.
+_ABC_STRAYS = ("H", "-", "z-", "|]", "C/3")
+_JIANPU_STRAYS = ("9", "0'", "1" + "_" * 13)
+
+
+@st.composite
+def _items(draw, fmt):
+    """A passage of notes, rests, chords, dashes and barlines written one
+    to four times, maybe with a stray among them."""
+    if fmt == "staff":
+        sound, others, strays = _abc_beat(), ("|", "|", "||"), _ABC_STRAYS
+    else:
+        sound, others = _jianpu_token(), ("-", "|", "|")
+        strays = _JIANPU_STRAYS
+    passage = draw(st.lists(st.one_of(sound, st.sampled_from(others)),
+                            min_size=1, max_size=10))
+    items = passage * draw(st.integers(1, 4))
+    if draw(st.booleans()):
+        items.insert(draw(st.integers(0, len(items))),
+                     draw(st.sampled_from(strays)))
+    return items, len(passage)
+
+
+def _outcome(fmt, text):
+    """What a parse of ``text`` gives: the measures' events, the final
+    barline and the projected streams; or the error's rule id, message
+    and the offset in ``text`` of the character it points at."""
+    try:
+        doc = _PARSERS[fmt](text)
+    except ParseError as exc:
+        starts = [0] + [i + 1 for i, ch in enumerate(text) if ch == "\n"]
+        at = None if exc.column is None else \
+            starts[exc.line - 1] + exc.column - 1
+        return exc.rule_id, exc.message, at
+    return ([m.events for m in doc.measures], doc.final_barline,
+            project(doc))
+
+
+@pytest.mark.parametrize("fmt", ["staff", "jianpu"])
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_line_breaks_between_items_change_nothing(fmt, data):
+    # Each gap between two items is a space or a line break: in one text
+    # the gaps repeat with the passage, so that its lines repeat, and in
+    # the other they are drawn afresh. Every character keeps its offset.
+    items, period = data.draw(_items(fmt))
+    head = _ABC_HEAD if fmt == "staff" else "1=C\n"
+
+    def gaps(count):
+        return data.draw(st.lists(st.sampled_from((" ", " ", "\n")),
+                                  min_size=count, max_size=count))
+
+    def written(spaces):
+        return head + "".join(map(str.__add__, items,
+                                  spaces[:len(items) - 1] + ["\n"]))
+    repeating = written(gaps(period) * len(items))
+    assert _outcome(fmt, repeating) == _outcome(fmt, written(gaps(len(items))))
 
 
 # --- the public constructor -------------------------------------------------
