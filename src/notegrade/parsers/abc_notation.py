@@ -145,29 +145,31 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
     """The measures of a tune body, and whether it ends on a barline.
 
     Each line is read item by item (``_ITEM_RE``), and each distinct note
-    or rest text is resolved once. As every measure starts in the same
-    state, each distinct text from a line start or a barline to the next
-    barline is built once and then taken with one lookup. So is each line,
-    under its text and the state it starts in, unless more events are
-    pending than it has characters.
+    or rest text is resolved once. Every measure starts in the same
+    state, so the measure written as each distinct text from a line start
+    or a barline to the next barline is built once, kept when the barline
+    closes it, and then taken with one lookup where it starts. A text
+    that raises is not kept, and a measure that spans lines is read item
+    by item. A line read from a clean state (nothing pending, no "|]", a
+    measure closed, so that an opening barline is an empty measure) that
+    leaves nothing pending is kept too, as the measures it closed, for
+    one lookup.
     """
     key_shift = key_signature_accidentals(key_name)
     unit_beats = (unit.numerator * 4, unit.denominator)
     # The pitches and ticks of each distinct note or rest text.
     sounds: dict[str, tuple[tuple[int, ...], int]] = {}
     measure_of: dict[str, Measure] = {}
-    line_of: dict[tuple, tuple] = {}
+    line_of: dict[str, tuple[Measure, ...]] = {}
     measures: list[Measure] = []
     pending: list[Event] = []
     onset = 0
     finished = False
     for line_no, text in body:
         first = len(measures)
-        state = (text, first > 0, finished, tuple(pending)) \
-            if len(pending) <= len(text) else None
-        if replay := line_of.get(state):
-            added, finished, onset, pending[:] = replay
-            measures += added
+        clean = first and not pending and not finished
+        if clean and text in line_of:
+            measures += line_of[text]
             continue
         i, key = 0, None
         while i < len(text):
@@ -220,9 +222,8 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
                 raise _error(f"unexpected character {item[kind]!r}", line_no, start)
             pending.append(Event.trusted(onset, ticks, pitches))
             onset += ticks
-        if state:
-            line_of[state] = (tuple(measures[first:]), finished, onset,
-                              tuple(pending))
+        if clean and not pending:
+            line_of[text] = tuple(measures[first:])
     if pending:
         measures.append(Measure.trusted(tuple(pending)))
     if not measures:

@@ -145,17 +145,15 @@ def parse_jianpu(text: str,
 
     # A measure between two barlines of one line starts in the same state
     # wherever it appears, unless a dash opens it, so each distinct text
-    # is read once and kept, then taken with one lookup. So is each line,
-    # under its text and the state it starts in, unless a dash opens it
-    # while nothing is pending (it rebuilds the measure before) or more
-    # events are pending than it has characters.
-    line_of: dict[tuple, tuple] = {}
+    # is read once and kept, then taken with one lookup; a text that
+    # raises is not kept. So is a line that starts and ends with nothing
+    # pending after a barline, and whose first word is not a dash (which
+    # rebuilds the measure before).
+    line_of: dict[str, tuple[Measure, ...]] = {}
     for line_no, line in lines[directive_idx + 1:]:
-        state = (line, bar_seen, tuple(pending)) \
-            if len(pending) <= len(line) else None
-        if replay := line_of.get(state):
-            added, bar_seen, pending[:] = replay
-            closed += added
+        clean = bar_seen and not pending
+        if clean and line in line_of:
+            closed += line_of[line]
             continue
         first = len(closed)
         parts = _BAR_RE.split(line)
@@ -183,9 +181,10 @@ def parse_jianpu(text: str,
                                  rule_id="jianpu.measure_bars")
             bar_seen = True
             offset += len(part) + 1
-        if state and (state[2] or not line.lstrip().startswith("-")):
-            line_of[state] = (tuple(closed[first:]), bar_seen, tuple(pending))
+        if clean and not pending and not line.lstrip().startswith("-"):
+            line_of[line] = tuple(closed[first:])
 
+    final_barline = not pending
     if pending:
         closed.append(Measure.trusted(tuple(pending)))
     if not closed:
@@ -196,5 +195,5 @@ def parse_jianpu(text: str,
         key=key,
         meter=meter,
         measures=tuple(closed),
-        final_barline=not pending,
+        final_barline=final_barline,
     )

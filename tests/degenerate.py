@@ -3,9 +3,8 @@ given size, the failure a model shows when it loops.
 
 Staff and jianpu repeat the melody's body one copy to a line, or all
 copies on one line, or one copy to two lines broken inside its first
-measure, or one copy to a line with no barline at all; tablature
-repeats it along the six strings, so each string is one long line. The
-ground truth is the melody itself.
+measure; tablature repeats it along the six strings, so each string is
+one long line. The ground truth is the melody itself.
 
 Non-repeating predictions are as long, but no measure in them repeats,
 so a parser that builds each distinct measure once gains nothing: a
@@ -68,20 +67,11 @@ def one_line_prediction(fmt: str, size: int) -> str:
 def straddling_prediction(fmt: str, size: int) -> str:
     """``degenerate_prediction`` in staff or jianpu with each copy of the
     body broken after its first note, so that in every copy a measure
-    spans a line break: no line starts and ends between measures, as a
-    loop does not choose where its line breaks fall."""
+    spans a line break: no line starts and ends between measures, and
+    that measure is read note by note each time."""
     head = 4 if fmt == "staff" else 1
     lines = degenerate_prediction(fmt, size).splitlines()
     body = [line.replace(" ", "\n", 1) for line in lines[head:]]
-    return "\n".join(lines[:head] + body) + "\n"
-
-
-def barless_prediction(fmt: str, size: int) -> str:
-    """``degenerate_prediction`` in staff or jianpu with no barline: the
-    whole body, a copy to a line, is one measure."""
-    head = 4 if fmt == "staff" else 1
-    lines = degenerate_prediction(fmt, size).splitlines()
-    body = [line.replace("|", " ").replace("]", "") for line in lines[head:]]
     return "\n".join(lines[:head] + body) + "\n"
 
 
@@ -132,13 +122,13 @@ def score(fmt: str, text: str):
     return score_ast("degenerate", gt, text, NotationFormat(fmt))
 
 
-def timings(fmt: str, texts: list[str],
-            runs: int = 3) -> list[list[float]]:
+def timings(fmt: str, sizes: tuple[int, ...], runs: int = 3,
+            prediction=degenerate_prediction) -> list[list[float]]:
     """For each of ``runs`` rounds, the CPU seconds one ``score_ast``
-    call takes on each of the predictions ``texts``. The texts take
-    turns, so that a slow spell of the machine hits them alike, and the
-    process's own CPU clock leaves out the time other work holds the
-    cores."""
+    call takes on a ``prediction`` of each size. The sizes take turns, so
+    that a slow spell of the machine hits them alike, and the process's
+    own CPU clock leaves out the time other work holds the cores."""
+    texts = [prediction(fmt, size) for size in sizes]
     rounds = []
     for _ in range(runs):
         times = []
@@ -153,17 +143,15 @@ def timings(fmt: str, texts: list[str],
 
 def best_times(fmt: str, sizes: tuple[int, ...], runs: int = 3,
                prediction=degenerate_prediction) -> list[float]:
-    """For each size, the fastest of the ``timings`` of a ``prediction``
-    of that size, in seconds."""
-    texts = [prediction(fmt, size) for size in sizes]
-    return [min(times) for times in zip(*timings(fmt, texts, runs))]
+    """For each size, the fastest of its ``timings``, in seconds."""
+    return [min(times) for times in zip(*timings(fmt, sizes, runs,
+                                                 prediction))]
 
 
 if __name__ == "__main__":
     for prediction, formats in ((degenerate_prediction, FORMATS),
                                 (one_line_prediction, LINES),
                                 (straddling_prediction, LINES),
-                                (barless_prediction, LINES),
                                 (nonrepeating_prediction, FORMATS)):
         kind = prediction.__name__.removesuffix("_prediction")
         for fmt in formats:

@@ -349,20 +349,6 @@ def test_a_repeated_measure_is_built_once(fmt, text):
 
 
 @pytest.mark.parametrize("fmt,text", [
-    ("staff", _ABC_HEAD + "A\n" + "B c d|A\n" * 3 + "B c d|]\n"),
-    ("jianpu", "1=C\n1\n" + "2 3 4 | 1\n" * 3 + "2 3 4 |\n"),
-])
-def test_a_repeated_measure_broken_over_lines_is_built_once(fmt, text):
-    # Each copy breaks after its first note. The first line that closes a
-    # measure follows no closed measure (or, in jianpu, no barline), and
-    # the last ends the tune; each line between starts in the state the
-    # one before it leaves, so the later copies are one lookup.
-    first, second, third, last = _PARSERS[fmt](text).measures
-    assert third is second
-    assert first == second == last
-
-
-@pytest.mark.parametrize("fmt,text", [
     ("staff", _ABC_HEAD + "A B\nc d|c d|]\n"),
     ("jianpu", "1=C\n1 2\n3 4 | 3 4 |\n"),
 ])
@@ -443,11 +429,11 @@ def test_a_dash_opening_a_measure_leaves_earlier_copies_untied():
 
 # --- repeated lines ---------------------------------------------------------
 
-# The parsers keep each line under its text and the state it starts in,
-# and take its measures again where the same text starts in the same
-# state. Each error is in a line whose text is new, or that starts in a
-# state the same text has not started in before; its rule id, line and
-# column are the ones the parser reported before lines were reused.
+# The parsers keep the measures of a line read from a clean state and
+# take them again where the line repeats. Each error is in a line that
+# did not start or did not end clean, or is the first copy of its line;
+# its rule id, line and column are the ones the parser reported before
+# lines were reused.
 @pytest.mark.parametrize("fmt,text,rule_id,line,column", [
     # An opening barline is an empty measure after the first body line.
     ("staff", _ABC_HEAD + "|C D|\n|C D|\n", "abc.parse", 6, 1),
