@@ -11,11 +11,12 @@ import contextlib
 import csv
 import io
 import os
-from dataclasses import dataclass, field, replace
+from collections import namedtuple
 from fractions import Fraction
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (ConfigError, ParseError, PitchError, SchemaError,
                      json_object, read_input)
@@ -42,27 +43,28 @@ _RECORD_KEYS = {"id", "task", "format", "pred_path", "gt_path", "answer",
                 "declared_key", "declared_meter", "tuning"}
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    weights: MetricWeights = MetricWeights()
-    task_weights: CapabilityWeights = CapabilityWeights()
-    grid: Fraction = DEFAULT_GRID
-    tuning: Tuning = STANDARD_TUNING
-    cnc_lenient: bool = False
-    ast_length_cap: int | None = None
+class EvalConfig(namedtuple("EvalConfig", "weights task_weights grid tuning "
+                                          "cnc_lenient ast_length_cap")):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        require_exact("grid", self.grid)
-        if self.grid <= 0:
-            raise ConfigError(f"grid must be positive, got {self.grid}")
-        if not isinstance(self.cnc_lenient, bool):
+    def __new__(cls, weights: MetricWeights = MetricWeights(),
+                task_weights: CapabilityWeights = CapabilityWeights(),
+                grid: Fraction = DEFAULT_GRID,
+                tuning: Tuning = STANDARD_TUNING, cnc_lenient: bool = False,
+                ast_length_cap: int | None = None) -> "EvalConfig":
+        require_exact("grid", grid)
+        if grid <= 0:
+            raise ConfigError(f"grid must be positive, got {grid}")
+        if not isinstance(cnc_lenient, bool):
             raise ConfigError("cnc_lenient must be a boolean")
-        cap = self.ast_length_cap
+        cap = ast_length_cap
         if cap is not None:
             if not isinstance(cap, int) or isinstance(cap, bool):
                 raise ConfigError("ast_length_cap must be an integer")
             if cap < 1:
                 raise ConfigError(f"ast_length_cap must be >= 1, got {cap}")
+        return super().__new__(cls, weights, task_weights, grid, tuning,
+                               cnc_lenient, cap)
 
     def to_json_dict(self) -> dict:
         return {
@@ -75,8 +77,7 @@ class EvalConfig:
         }
 
 
-@dataclass(frozen=True)
-class SampleRecord:
+class SampleRecord(NamedTuple):
     id: str
     task: Task
     format: NotationFormat
@@ -229,7 +230,7 @@ def score_sample(record: SampleRecord, config: EvalConfig,
         diagnostics = (f"prediction unreadable, scored as empty: {exc}",)
     result = score_text(record, config, gt, prediction)
     if diagnostics:
-        result = replace(result, diagnostics=diagnostics + result.diagnostics)
+        result = result._replace(diagnostics=diagnostics + result.diagnostics)
     return result
 
 
@@ -240,13 +241,17 @@ def _means(cells: dict, fmt: NotationFormat | None) -> dict[Task, Fraction]:
             in cells.items() if f is fmt and valid}
 
 
-@dataclass(frozen=True)
-class Report:
-    config: EvalConfig
-    records: tuple[SampleRecord, ...]
-    results: tuple[TaskResult, ...]
-    external: dict[str, dict[str, float]] = field(default_factory=dict)
-    warnings: tuple[str, ...] = ()
+class Report(namedtuple("Report",
+                        "config records results external warnings")):
+    """A scored batch. Its fields cannot be set, but it keeps an instance
+    dict (no ``__slots__``), where ``_cells`` caches the aggregation."""
+
+    def __new__(cls, config: EvalConfig, records: tuple[SampleRecord, ...],
+                results: tuple[TaskResult, ...],
+                external: dict[str, dict[str, float]] | None = None,
+                warnings: tuple[str, ...] = ()) -> "Report":
+        return super().__new__(cls, config, records, results,
+                               {} if external is None else external, warnings)
 
     @cached_property
     def _cells(self) -> dict[tuple, list]:

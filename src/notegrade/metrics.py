@@ -6,10 +6,10 @@ become floats at the serialization boundary.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import repeat
-from typing import Hashable, Sequence
+from typing import Hashable, NamedTuple, Sequence
 
 from .errors import ConfigError
 
@@ -80,8 +80,7 @@ _SHORT = 64
 _DIGIT_TABLES = [b"0" * k + b"1" + b"0" * (255 - k) for k in range(256)]
 
 
-@dataclass(frozen=True)
-class AccuracyScore:
+class AccuracyScore(NamedTuple):
     value: Fraction
     edit_distance: int
     len_gt: int
@@ -131,25 +130,24 @@ def parse_numbers(text: str, count: int, what: str) -> list[Fraction]:
     raise ConfigError(f"malformed {what} {text!r}")
 
 
-@dataclass(frozen=True)
-class MetricWeights:
+class MetricWeights(namedtuple("MetricWeights", "pitch duration format")):
     """Hybrid-score weights over pitch accuracy, duration accuracy, and
     format legality."""
 
-    pitch: Fraction = Fraction(1, 2)
-    duration: Fraction = Fraction(3, 10)
-    format: Fraction = Fraction(1, 5)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name, value in (("pitch", self.pitch),
-                            ("duration", self.duration),
-                            ("format", self.format)):
+    def __new__(cls, pitch: Fraction = Fraction(1, 2),
+                duration: Fraction = Fraction(3, 10),
+                format: Fraction = Fraction(1, 5)) -> "MetricWeights":
+        for name, value in (("pitch", pitch), ("duration", duration),
+                            ("format", format)):
             require_exact(f"{name} weight", value)
             if value < 0:
                 raise ConfigError(f"{name} weight must be >= 0, got {value}")
-        total = self.pitch + self.duration + self.format
+        total = pitch + duration + format
         if total != 1:
             raise ConfigError(f"weights must sum to 1, got {total}")
+        return super().__new__(cls, pitch, duration, format)
 
     @classmethod
     def parse(cls, text: str) -> "MetricWeights":
@@ -164,7 +162,7 @@ class MetricWeights:
         return MetricWeights(self.pitch / rest, Fraction(0), self.format / rest)
 
     def to_json_dict(self) -> dict:
-        return {name: float(value) for name, value in vars(self).items()}
+        return {name: float(value) for name, value in self._asdict().items()}
 
 
 def hybrid_score(acc_pitch: Fraction, acc_duration: Fraction | None,

@@ -8,7 +8,7 @@ C4 = 60). Every operation here is pure; values are immutable.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Iterable
 
@@ -45,23 +45,23 @@ def check_midi(value: int) -> int:
     return value
 
 
-@dataclass(frozen=True, order=True)
-class ScientificPitch:
-    """A pitch name with octave, e.g. C4 (middle C) or F#5.
+class ScientificPitch(namedtuple("ScientificPitch", "letter sharp octave")):
+    """A pitch name with octave, e.g. C4 (middle C) or F#5, ordered by
+    its fields.
 
     Canonical spellings use sharps only. Flat names are accepted by
     :func:`scientific_to_midi` and normalized to the enharmonic sharp.
     """
 
-    letter: str
-    sharp: bool
-    octave: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.letter not in LETTER_SEMITONES:
-            raise PitchError(f"pitch letter must be A-G, got {self.letter!r}")
-        if not -1 <= self.octave <= 9:
-            raise PitchError(f"octave {self.octave} outside -1..9")
+    def __new__(cls, letter: str, sharp: bool,
+                octave: int) -> "ScientificPitch":
+        if letter not in LETTER_SEMITONES:
+            raise PitchError(f"pitch letter must be A-G, got {letter!r}")
+        if not -1 <= octave <= 9:
+            raise PitchError(f"octave {octave} outside -1..9")
+        return super().__new__(cls, letter, sharp, octave)
 
     @property
     def name(self) -> str:
@@ -115,18 +115,17 @@ def pitch_class_from_name(name: str) -> int:
         raise ParseError(f"unknown pitch class {name!r}") from None
 
 
-@dataclass(frozen=True)
-class KeySignature:
+class KeySignature(namedtuple("KeySignature", "tonic mode")):
     """A major key identified by its tonic pitch class (0..11)."""
 
-    tonic: int
-    mode: str = "major"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.tonic <= 11:
-            raise PitchError(f"tonic pitch class {self.tonic} outside 0..11")
-        if self.mode != "major":
-            raise PitchError(f"unsupported mode {self.mode!r} (major only)")
+    def __new__(cls, tonic: int, mode: str = "major") -> "KeySignature":
+        if not 0 <= tonic <= 11:
+            raise PitchError(f"tonic pitch class {tonic} outside 0..11")
+        if mode != "major":
+            raise PitchError(f"unsupported mode {mode!r} (major only)")
+        return super().__new__(cls, tonic, mode)
 
     @classmethod
     def parse(cls, name: str) -> "KeySignature":
@@ -142,20 +141,20 @@ class KeySignature:
         return TONIC_BASE_MIDI + self.tonic
 
 
-@dataclass(frozen=True)
-class Tuning:
+class Tuning(namedtuple("Tuning", "base")):
     """Open-string MIDI pitches indexed by string number 1 (highest) to 6."""
 
-    base: tuple[int, int, int, int, int, int]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.base) != 6:
+    def __new__(cls, base: tuple[int, int, int, int, int, int]) -> "Tuning":
+        if len(base) != 6:
             raise PitchError("tuning must define exactly 6 strings")
-        for value in self.base:
+        for value in base:
             check_midi(value)
-        for higher, lower in zip(self.base, self.base[1:]):
+        for higher, lower in zip(base, base[1:]):
             if higher <= lower:
                 raise PitchError("string pitches must strictly decrease from string 1 to 6")
+        return super().__new__(cls, base)
 
     @classmethod
     def from_json(cls, value: object) -> "Tuning":
@@ -177,36 +176,33 @@ FRET_MIN = 0
 FRET_MAX = 24
 
 
-@dataclass(frozen=True)
-class TabEvent:
+class TabEvent(namedtuple("TabEvent", "string fret column")):
     """One fretted (or open) note: string 1-6, fret 0-24, temporal column."""
 
-    string: int
-    fret: int
-    column: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 1 <= self.string <= 6:
-            raise PitchError(f"string {self.string} outside 1..6")
-        if not FRET_MIN <= self.fret <= FRET_MAX:
-            raise PitchError(f"fret {self.fret} outside {FRET_MIN}..{FRET_MAX}")
-        if self.column < 0:
-            raise PitchError(f"column {self.column} must be >= 0")
+    def __new__(cls, string: int, fret: int, column: int = 0) -> "TabEvent":
+        if not 1 <= string <= 6:
+            raise PitchError(f"string {string} outside 1..6")
+        if not FRET_MIN <= fret <= FRET_MAX:
+            raise PitchError(f"fret {fret} outside {FRET_MIN}..{FRET_MAX}")
+        if column < 0:
+            raise PitchError(f"column {column} must be >= 0")
+        return super().__new__(cls, string, fret, column)
 
 
-@dataclass(frozen=True)
-class JianpuNote:
+class JianpuNote(namedtuple("JianpuNote", "degree octave_mod duration")):
     """A numbered-notation token: scale degree (0 = rest), octave shift, beats."""
 
-    degree: int
-    octave_mod: int = 0
-    duration: Fraction = Fraction(1)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.degree <= 7:
-            raise PitchError(f"degree {self.degree} outside 0..7")
-        if self.duration <= 0:
-            raise PitchError(f"duration {self.duration} must be positive")
+    def __new__(cls, degree: int, octave_mod: int = 0,
+                duration: Fraction = Fraction(1)) -> "JianpuNote":
+        if not 0 <= degree <= 7:
+            raise PitchError(f"degree {degree} outside 0..7")
+        if duration <= 0:
+            raise PitchError(f"duration {duration} must be positive")
+        return super().__new__(cls, degree, octave_mod, duration)
 
 
 def tab_to_midi(event: TabEvent, tuning: Tuning = STANDARD_TUNING) -> int:

@@ -10,10 +10,10 @@ integers, scored in whole grid steps and printed as ``Fraction`` beats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, compress
 from operator import attrgetter
+from typing import NamedTuple
 
 from .errors import ConfigError
 from .metrics import require_exact
@@ -23,8 +23,7 @@ DEFAULT_GRID = Fraction(1, 4)
 _EVENTS = attrgetter("events")
 
 
-@dataclass(frozen=True)
-class CanonicalSequence:
+class CanonicalSequence(NamedTuple):
     """Pitch tokens, and durations in ``1/units_per_beat``-beat units."""
 
     pitch_tokens: tuple[tuple[int, ...], ...]

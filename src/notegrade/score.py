@@ -3,15 +3,21 @@
 Durations and onsets are whole ticks, ``TICKS_PER_BEAT`` to the
 quarter-note beat: a 4/4 measure holds 4 beats, a 6/8 measure holds 3.
 They read back as exact ``Fraction`` beats through properties.
+
+Records here and across the package are immutable named tuples, equal
+and hashed by value. One that checks its fields subclasses a
+``namedtuple`` and checks them in ``__new__``, whose signature gives
+the fields and their defaults.
 """
 
 from __future__ import annotations
 
 import enum
 import re
-from dataclasses import asdict, dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 from operator import itemgetter
+from typing import NamedTuple
 
 from .errors import ParseError, PitchError
 from .pitch import KeySignature, check_midi
@@ -59,20 +65,19 @@ class NotationFormat(enum.Enum):
 _FORMATS = {fmt.value: fmt for fmt in NotationFormat}
 
 
-@dataclass(frozen=True)
-class TimeSignature:
-    numerator: int
-    denominator: int
+class TimeSignature(namedtuple("TimeSignature", "numerator denominator")):
+    __slots__ = ()
 
     _ALLOWED_DENOMINATORS = (1, 2, 4, 8, 16, 32)
 
-    def __post_init__(self) -> None:
-        if self.numerator <= 0:
-            raise ParseError(f"meter numerator {self.numerator} must be positive")
-        if self.denominator not in self._ALLOWED_DENOMINATORS:
+    def __new__(cls, numerator: int, denominator: int) -> "TimeSignature":
+        if numerator <= 0:
+            raise ParseError(f"meter numerator {numerator} must be positive")
+        if denominator not in cls._ALLOWED_DENOMINATORS:
             raise ParseError(
-                f"meter denominator {self.denominator} must be one of "
-                f"{self._ALLOWED_DENOMINATORS}")
+                f"meter denominator {denominator} must be one of "
+                f"{cls._ALLOWED_DENOMINATORS}")
+        return super().__new__(cls, numerator, denominator)
 
     @classmethod
     def parse(cls, text: str) -> "TimeSignature":
@@ -138,6 +143,10 @@ class Event(tuple):
         """An event the caller guarantees valid, built without checks."""
         return tuple.__new__(cls, (onset_ticks, duration_ticks, pitches, tied))
 
+    def __reduce__(self):
+        """Pickle and copy rebuild from ticks, as ``trusted`` takes them."""
+        return self.trusted, tuple(self)
+
     @property
     def onset_beats(self) -> Fraction:
         return Fraction(self[0], TICKS_PER_BEAT)
@@ -151,25 +160,23 @@ class Event(tuple):
         return not self[2]
 
 
-@dataclass(frozen=True, slots=True)
-class Measure:
+class Measure(namedtuple("Measure", "events")):
     """The events of one measure. ``Measure(events)`` checks that their
     onsets do not decrease; the parsers, whose onsets are running sums,
     build measures with ``trusted``."""
 
-    events: tuple[Event, ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        onsets = [e.onset_ticks for e in self.events]
+    def __new__(cls, events: tuple[Event, ...] = ()) -> "Measure":
+        onsets = [e.onset_ticks for e in events]
         if onsets != sorted(onsets):
             raise ParseError("event onsets within a measure must be non-decreasing")
+        return super().__new__(cls, events)
 
     @classmethod
     def trusted(cls, events: tuple[Event, ...]) -> "Measure":
         """A measure the caller guarantees valid, built without checks."""
-        measure = object.__new__(cls)
-        object.__setattr__(measure, "events", events)
-        return measure
+        return tuple.__new__(cls, (events,))
 
     @property
     def duration_ticks(self) -> int:
@@ -180,34 +187,52 @@ class Measure:
         return Fraction(self.duration_ticks, TICKS_PER_BEAT)
 
 
-@dataclass(frozen=True)
-class ScoreDoc:
+class ScoreDoc(namedtuple("ScoreDoc",
+                          "format key meter measures final_barline")):
     """A parsed notation document in any of the three formats."""
 
-    format: NotationFormat
-    key: KeySignature
-    meter: TimeSignature
-    measures: tuple[Measure, ...]
-    final_barline: bool = True
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.measures:
+    def __new__(cls, format: NotationFormat, key: KeySignature,
+                meter: TimeSignature, measures: tuple[Measure, ...],
+                final_barline: bool = True) -> "ScoreDoc":
+        if not measures:
             raise ParseError("document contains no measures")
+        return super().__new__(cls, format, key, meter, measures,
+                               final_barline)
 
     def events(self):
         for measure in self.measures:
             yield from measure.events
 
 
-@dataclass(frozen=True)
-class GroundTruthEvent:
+class GroundTruthEvent(NamedTuple):
     onset_beats: Fraction
     duration_beats: Fraction
     midi: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GroundTruth:
+def _by_leading(count: int) -> tuple:
+    """``__eq__``, ``__ne__``, ``__hash__`` and ``__repr__`` for a named
+    tuple whose value is its first ``count`` fields: the fields after
+    them ride along, not compared, hashed or shown."""
+    def eq(self, other):
+        return type(other) is type(self) and self[:count] == other[:count]
+
+    def ne(self, other):
+        return not eq(self, other)
+
+    def hash_(self):
+        return hash(self[:count])
+
+    def repr_(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value
+                          in zip(self._fields[:count], self))
+        return f"{type(self).__name__}({shown})"
+    return eq, ne, hash_, repr_
+
+
+class GroundTruth(NamedTuple):
     """The authoritative annotation of one sample: key, meter, timed events."""
 
     id: str
@@ -217,29 +242,31 @@ class GroundTruth:
     events: tuple[GroundTruthEvent, ...]
     tempo_bpm: float | None = None
     # Its CanonicalSequence, when a batch has projected it (once per file).
-    projection: object = field(default=None, compare=False, repr=False)
+    projection: object = None
+
+    __eq__, __ne__, __hash__, __repr__ = _by_leading(6)
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule_id: str
     message: str
     line: int | None = None
     column: int | None = None
 
     def to_json_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class FormatVerdict:
+class FormatVerdict(NamedTuple):
     """Outcome of strict format-legality checking."""
 
-    violations: tuple[Violation, ...] = field(default=())
+    violations: tuple[Violation, ...] = ()
     # The parsed document, or the ParseError (traceback dropped) that
-    # stopped the parse; neither is compared nor serialized.
-    doc: ScoreDoc | None = field(default=None, compare=False, repr=False)
-    error: ParseError | None = field(default=None, compare=False, repr=False)
+    # stopped the parse; neither is serialized.
+    doc: ScoreDoc | None = None
+    error: ParseError | None = None
+
+    __eq__, __ne__, __hash__, __repr__ = _by_leading(1)
 
     @property
     def legal(self) -> bool:

@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import enum
 import re
-from dataclasses import dataclass, replace
+from collections import namedtuple
 from fractions import Fraction
+from typing import NamedTuple
 
 from .metrics import (AccuracyScore, MetricWeights, alignment_accuracy,
                       hybrid_score, parse_numbers, require_exact)
@@ -49,8 +50,7 @@ SMG_RULE_COUNT = 5
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
 
-@dataclass(frozen=True)
-class SmgRuleReport:
+class SmgRuleReport(NamedTuple):
     """Pass/fail for each generation rule; an unparseable piece fails all."""
 
     renderable: bool
@@ -61,14 +61,13 @@ class SmgRuleReport:
 
     @property
     def passed(self) -> int:
-        return sum(vars(self).values())
+        return sum(self)
 
     def to_json_dict(self) -> dict:
-        return dict(vars(self))
+        return self._asdict()
 
 
-@dataclass(frozen=True)
-class TaskResult:
+class TaskResult(NamedTuple):
     sample_id: str
     task: Task
     valid: bool = True
@@ -173,7 +172,7 @@ def _rejection(sample_id: str, task: Task, fmt: NotationFormat,
 
 def projected(gt: GroundTruth) -> GroundTruth:
     """``gt`` carrying its projection, which the scorers then reuse."""
-    return replace(gt, projection=project_ground_truth(gt))
+    return gt._replace(projection=project_ground_truth(gt))
 
 
 def _conversion_result(sample_id: str, task: Task, gt: GroundTruth,
@@ -312,23 +311,22 @@ def score_smg(sample_id: str, prediction: str, fmt: NotationFormat,
         technical=rules.passed, rules=rules, diagnostics=tuple(diagnostics))
 
 
-@dataclass(frozen=True)
-class CapabilityWeights:
+class CapabilityWeights(namedtuple("CapabilityWeights", "vsu cnc ast smg")):
     """Per-task weights for the single capability aggregate."""
 
-    vsu: Fraction = Fraction(1, 4)
-    cnc: Fraction = Fraction(1, 4)
-    ast: Fraction = Fraction(1, 4)
-    smg: Fraction = Fraction(1, 4)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        values = (self.vsu, self.cnc, self.ast, self.smg)
+    def __new__(cls, vsu: Fraction = Fraction(1, 4),
+                cnc: Fraction = Fraction(1, 4), ast: Fraction = Fraction(1, 4),
+                smg: Fraction = Fraction(1, 4)) -> "CapabilityWeights":
+        values = (vsu, cnc, ast, smg)
         for task, value in zip(Task, values):
             require_exact(f"{task.value} task weight", value)
         if any(v < 0 for v in values):
             raise ConfigError("task weights must be >= 0")
         if sum(values) != 1:
             raise ConfigError(f"task weights must sum to 1, got {sum(values)}")
+        return super().__new__(cls, *values)
 
     @classmethod
     def parse(cls, text: str) -> "CapabilityWeights":

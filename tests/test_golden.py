@@ -39,13 +39,19 @@ def test_other_interpreters_write_the_golden_report(tmp_path, python):
     """The report bytes must not depend on the interpreter's version:
     float repr, sort order and the writer's escapes are the stdlib's."""
     exe = shutil.which(python)
-    # A version manager's shim may be on PATH without its interpreter.
-    if exe is None or subprocess.run([exe, "-c", ""], capture_output=True,
-                                     timeout=60).returncode != 0:
-        pytest.skip(f"{python} is not installed")
-    out, csv = tmp_path / "report.json", tmp_path / "report.csv"
     env = dict(os.environ, PYTHONPATH=str(SRC),
                **{ENV_CONFIG_VAR: str(GOLDEN / "config.json")})
+    # A pyenv shim may be on PATH with its interpreter installed but not
+    # selected: it runs once PYENV_VERSION names the version.
+    for retry in ({}, {"PYENV_VERSION": python.removeprefix("python")}):
+        env.update(retry)
+        if exe is not None and subprocess.run(
+                [exe, "-c", ""], env=env, capture_output=True,
+                timeout=60).returncode == 0:
+            break
+    else:
+        pytest.skip(f"{python} is not installed")
+    out, csv = tmp_path / "report.json", tmp_path / "report.csv"
     done = subprocess.run(
         [exe, "-m", "notegrade.cli", "batch",
          "--manifest", str(GOLDEN / "manifest.jsonl"),

@@ -8,6 +8,7 @@ from notegrade.pitch import (
     STANDARD_TUNING,
     JianpuNote,
     KeySignature,
+    ScientificPitch,
     TabEvent,
     Tuning,
     check_midi,
@@ -59,6 +60,16 @@ def test_midi_to_scientific_names(midi, name):
 def test_scientific_round_trip_all_midi():
     for midi in range(128):
         assert scientific_to_midi(midi_to_scientific(midi)) == midi
+
+
+def test_scientific_pitches_order_by_their_fields():
+    # Letter, then sharp, then octave: not by height.
+    names = [midi_to_scientific(m).name for m in (60, 69, 61, 57, 70)]
+    assert names == ["C4", "A4", "C#4", "A3", "A#4"]
+    ordered = sorted(map(midi_to_scientific, (60, 69, 61, 57, 70)))
+    assert [p.name for p in ordered] == ["A3", "A4", "A#4", "C4", "C#4"]
+    assert ScientificPitch("B", False, 0) < ScientificPitch("C", False, 0)
+    assert ScientificPitch("C", True, 9) > ScientificPitch("C", False, 9)
 
 
 @pytest.mark.parametrize("name,midi", [

@@ -16,6 +16,7 @@ from notegrade.projection import (
 )
 from notegrade.score import (TICKS_PER_BEAT, Event, Measure, NotationFormat,
                              ScoreDoc, TimeSignature)
+from notegrade.tasks import projected
 
 
 def _abc(body: str):
@@ -96,6 +97,10 @@ def test_ground_truth_projection():
     seq = project_ground_truth(gt)
     assert seq.pitch_tokens == ((60,), (60, 67))
     assert seq.durations == (Fraction(1), Fraction(2), Fraction(1))
+    # The projection a ground truth carries is outside its equality.
+    carried = projected(gt)
+    assert carried.projection == seq and gt.projection is None
+    assert carried == gt and hash(carried) == hash(gt)
 
 
 @pytest.mark.parametrize("duration,grid,expected", [
