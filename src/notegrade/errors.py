@@ -93,7 +93,7 @@ def json_object(value: object, what: str, error: type[NotegradeError], *,
     if decode:
         try:
             value = json.loads(value)
-        except ValueError as exc:  # also an integer past int()'s digit limit
+        except (ValueError, RecursionError) as exc:  # too many digits, too deep
             raise error(f"{what} is not valid JSON: {exc}") from None
     if not isinstance(value, dict):
         raise error(f"{what} must be a JSON object")

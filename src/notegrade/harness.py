@@ -46,6 +46,7 @@ _RECORD_KEYS = {"id", "task", "format", "pred_path", "gt_path", "answer",
 class EvalConfig(namedtuple("EvalConfig", "weights task_weights grid tuning "
                                           "cnc_lenient ast_length_cap")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
     def __new__(cls, weights: MetricWeights = MetricWeights(),
                 task_weights: CapabilityWeights = CapabilityWeights(),
@@ -413,16 +414,33 @@ def json_text(value, pad: str = "\n") -> str:
     return f"{{{inner}" + f",{inner}".join(items) + f"{pad}}}"
 
 
+def _json_chunks(data: dict):
+    """``json_text(data) + "\\n"`` in pieces, for a non-empty dict."""
+    sep = "{\n  "
+    for key, value in sorted(data.items()):
+        yield f"{sep}{_quote(key)}: "
+        sep = ",\n  "
+        if type(value) is not list or not value:
+            yield json_text(value, "\n  ")
+            continue
+        for i, item in enumerate(value):
+            yield ("[" if i == 0 else ",") + "\n    " + json_text(item, "\n    ")
+        yield "\n  ]"
+    yield "\n}\n"
+
+
 def write_report(report: Report, out_path: str | Path,
                  csv_path: str | Path | None = None) -> None:
     """Serialize the report as canonical JSON, plus an optional CSV of the
-    task-by-format table. Both go to temporary files before either is put
-    in place, so a failed write leaves no report; it is a ConfigError."""
+    task-by-format table. Both go to temporary files, removed on any
+    failure, before either is put in place; an OSError is a ConfigError.
+    The JSON is encoded one member, or one element of a list member, at a
+    time, through a buffered file: its whole text never exists at once."""
     if csv_path is not None and (Path(csv_path).resolve()
                                  == Path(out_path).resolve()):
         raise ConfigError("--csv must name a different file from --out")
     data = report.to_json_dict()
-    texts = {Path(out_path): json_text(data) + "\n"}
+    texts = {Path(out_path): _json_chunks(data)}
     if csv_path is not None:
         table = io.StringIO()
         writer = csv.writer(table)
@@ -431,22 +449,25 @@ def write_report(report: Report, out_path: str | Path,
             mean = "" if row["mean"] is None else f"{row['mean']:.6f}"
             writer.writerow([row["task"], row["format"], row["count"],
                              row["invalid_count"], mean])
-        texts[Path(csv_path)] = table.getvalue()
+        texts[Path(csv_path)] = [table.getvalue()]
     outputs = {path.resolve() for path in texts}
     temps: dict[Path, Path] = {}
     try:
-        for path, text in texts.items():
+        for path, chunks in texts.items():
             tmp = path  # to be a new file beside it, named as no output
             while path not in temps:
                 tmp = tmp.with_name(tmp.name + ".tmp")
                 if tmp.resolve() not in outputs:
                     with contextlib.suppress(FileExistsError):
-                        open(tmp, "x").close()
+                        file = open(tmp, "x", encoding="utf-8", newline="")
                         temps[path] = tmp
-            temps[path].write_text(text, encoding="utf-8", newline="")
+            with file:
+                file.writelines(chunks)
         for path, tmp in temps.items():
             os.replace(tmp, path)
-    except OSError as exc:
+    except BaseException as exc:
         for tmp in temps.values():
             tmp.unlink(missing_ok=True)
-        raise ConfigError(f"cannot write {path}: {exc}") from None
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from None
+        raise

@@ -135,6 +135,7 @@ class MetricWeights(namedtuple("MetricWeights", "pitch duration format")):
     format legality."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
     def __new__(cls, pitch: Fraction = Fraction(1, 2),
                 duration: Fraction = Fraction(3, 10),

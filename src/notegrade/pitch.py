@@ -54,6 +54,7 @@ class ScientificPitch(namedtuple("ScientificPitch", "letter sharp octave")):
     """
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
     def __new__(cls, letter: str, sharp: bool,
                 octave: int) -> "ScientificPitch":
@@ -119,6 +120,7 @@ class KeySignature(namedtuple("KeySignature", "tonic mode")):
     """A major key identified by its tonic pitch class (0..11)."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
     def __new__(cls, tonic: int, mode: str = "major") -> "KeySignature":
         if not 0 <= tonic <= 11:
@@ -145,6 +147,7 @@ class Tuning(namedtuple("Tuning", "base")):
     """Open-string MIDI pitches indexed by string number 1 (highest) to 6."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
     def __new__(cls, base: tuple[int, int, int, int, int, int]) -> "Tuning":
         if len(base) != 6:
@@ -180,6 +183,7 @@ class TabEvent(namedtuple("TabEvent", "string fret column")):
     """One fretted (or open) note: string 1-6, fret 0-24, temporal column."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
     def __new__(cls, string: int, fret: int, column: int = 0) -> "TabEvent":
         if not 1 <= string <= 6:
@@ -195,6 +199,7 @@ class JianpuNote(namedtuple("JianpuNote", "degree octave_mod duration")):
     """A numbered-notation token: scale degree (0 = rest), octave shift, beats."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
     def __new__(cls, degree: int, octave_mod: int = 0,
                 duration: Fraction = Fraction(1)) -> "JianpuNote":

@@ -67,6 +67,7 @@ _FORMATS = {fmt.value: fmt for fmt in NotationFormat}
 
 class TimeSignature(namedtuple("TimeSignature", "numerator denominator")):
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
     _ALLOWED_DENOMINATORS = (1, 2, 4, 8, 16, 32)
 
@@ -166,6 +167,7 @@ class Measure(namedtuple("Measure", "events")):
     build measures with ``trusted``."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
     def __new__(cls, events: tuple[Event, ...] = ()) -> "Measure":
         onsets = [e.onset_ticks for e in events]
@@ -192,6 +194,7 @@ class ScoreDoc(namedtuple("ScoreDoc",
     """A parsed notation document in any of the three formats."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
     def __new__(cls, format: NotationFormat, key: KeySignature,
                 meter: TimeSignature, measures: tuple[Measure, ...],

@@ -315,6 +315,7 @@ class CapabilityWeights(namedtuple("CapabilityWeights", "vsu cnc ast smg")):
     """Per-task weights for the single capability aggregate."""
 
     __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
 
     def __new__(cls, vsu: Fraction = Fraction(1, 4),
                 cnc: Fraction = Fraction(1, 4), ast: Fraction = Fraction(1, 4),

@@ -536,6 +536,45 @@ def test_overlong_integer_in_smg_declaration_is_benchmark_error(
     assert "not valid JSON" in capsys.readouterr().err
 
 
+_DEEP = "[" * 100_000 + "]" * 100_000
+_BATCH = ["batch", "--manifest", "m.jsonl", "--out", "r.json"]
+_SCORE = ["score", "--format", "staff", "--pred", "pred.abc", "--gt"]
+
+
+@pytest.mark.parametrize("deep, argv, code", [
+    ("m.jsonl", _BATCH, 2),
+    ("gt.json", _BATCH, 2),
+    ("ext.json", _BATCH + ["--external-scores", "ext.json"], 2),
+    ("gt.json", _SCORE + ["gt.json", "--task", "cnc"], 2),
+    ("decl.json", _SCORE + ["decl.json", "--task", "smg"], 2),
+    ("cfg.json", ["validate", "--format", "staff", "--input", "pred.abc"], 1),
+], ids=["manifest", "ground_truth", "external_scores", "score_gt",
+        "smg_declaration", "config"])
+def test_deeply_nested_json_is_one_error_line(tmp_path, monkeypatch, capsys,
+                                              deep, argv, code):
+    """Nesting past the interpreter's recursion limit is corrupt input
+    from the benchmark side, not a crash."""
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "pred.txt", "b")
+    _write(tmp_path / "pred.abc", SCALE_ABC)
+    _write(tmp_path / "gt.json", json.dumps(SCALE_GT))
+    _write(tmp_path / "decl.json", '{"key": "C", "meter": "4/4"}')
+    _write(tmp_path / "ext.json", "{}")
+    _write(tmp_path / "cfg.json", "{}")
+    _write(tmp_path / "m.jsonl", "".join(json.dumps(row) + "\n" for row in [
+        {"id": "v1", "task": "vsu", "format": "staff",
+         "pred_path": "pred.txt", "answer": "b"},
+        {"id": "c1", "task": "cnc", "format": "staff",
+         "pred_path": "pred.abc", "gt_path": "gt.json"}]))
+    _write(tmp_path / deep, _DEEP + "\n")
+    monkeypatch.setenv("NOTEGRADE_CONFIG", "cfg.json")
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "is not valid JSON: maximum recursion depth exceeded" in err
+    assert not (tmp_path / "r.json").exists()
+
+
 def _install_copy(tmp_path):
     """Install a copy of this checkout under a temporary prefix, offline.
 

@@ -1,5 +1,8 @@
+import errno
 import json
+import os
 import threading
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,9 +22,11 @@ from notegrade.harness import (
     run_batch,
     write_report,
 )
+from notegrade.metrics import AccuracyScore
 from notegrade.score import NotationFormat
 from notegrade.tasks import (
     CapabilityWeights,
+    SmgRuleReport,
     Task,
     TaskResult,
     aggregate_capability,
@@ -382,12 +387,16 @@ def test_invalid_results_excluded_from_means(tmp_path):
 
 def test_write_report_canonical_json_and_csv(tmp_path):
     records = load_manifest(_full_fixture(tmp_path))
-    report = run_batch(records, EvalConfig())
+    report = run_batch(records, EvalConfig(), external_scores={
+        "smg-1": {"aesthetic": 4.5, "fingering": 2},
+        "n\u00f6pe": {"aesthetic": 1}})
+    assert report.external and report.warnings
     out = tmp_path / "report.json"
     csv_out = tmp_path / "report.csv"
     write_report(report, out, csv_out)
     text = out.read_text(encoding="utf-8")
-    assert text.endswith("\n")
+    assert out.read_bytes() == \
+        (json_text(report.to_json_dict()) + "\n").encode("utf-8")
     assert json.loads(text) == report.to_json_dict()
     again = tmp_path / "report2.json"
     write_report(report, again)
@@ -395,6 +404,100 @@ def test_write_report_canonical_json_and_csv(tmp_path):
     lines = csv_out.read_text(encoding="utf-8").strip().splitlines()
     assert lines[0] == "task,format,count,invalid_count,mean"
     assert "cnc,staff,1,0,1.000000" in lines
+    empty = Report(EvalConfig(), (), ())
+    write_report(empty, out)
+    assert out.read_bytes() == \
+        (json_text(empty.to_json_dict()) + "\n").encode("utf-8")
+    assert b'"per_sample": [],' in out.read_bytes()
+
+
+def test_write_report_unrenderable_value_leaves_nothing(tmp_path):
+    """A Python caller can put a value in a report that the encoder cannot
+    render; it fails as the encoder does, after part of the report was
+    written, and leaves neither report nor temporary file."""
+    records = load_manifest(_full_fixture(tmp_path))
+    report = run_batch(records, EvalConfig())
+    report = report._replace(external={"smg-1": {"aesthetic": Fraction(7, 2)}})
+    with pytest.raises(Exception) as rendered:
+        json_text(report.to_json_dict())
+    before = set(tmp_path.iterdir())
+    with pytest.raises(type(rendered.value)) as written:
+        write_report(report, tmp_path / "r.json", tmp_path / "r.csv")
+    assert written.value.args == rendered.value.args
+    assert set(tmp_path.iterdir()) == before
+
+
+def test_write_report_failing_mid_write_is_a_config_error(tmp_path,
+                                                          monkeypatch):
+    records = load_manifest(_full_fixture(tmp_path))
+    report = run_batch(records, EvalConfig())
+    before = set(tmp_path.iterdir())
+
+    def disk_full_after_one_write(*args, **kwargs):
+        file = open(*args, **kwargs)
+        written = []
+
+        def write(text):
+            if written:
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+            written.append(text)
+            return type(file).write(file, text)
+        file.write = write
+        return file
+
+    monkeypatch.setattr(harness, "open", disk_full_after_one_write,
+                        raising=False)
+    with pytest.raises(ConfigError) as err:
+        write_report(report, tmp_path / "r.json", tmp_path / "r.csv")
+    assert str(err.value).startswith(
+        f"cannot write {tmp_path / 'r.json'}: [Errno {errno.ENOSPC}]")
+    assert set(tmp_path.iterdir()) == before
+
+
+def _synthetic_report(count: int) -> Report:
+    """A report of ``count`` samples over the four tasks, built directly."""
+    records, results = [], []
+    for i in range(count):
+        sample_id, task = f"s{i:05d}", list(Task)[i % 4]
+        records.append(SampleRecord(sample_id, task, NotationFormat.JIANPU,
+                                    Path(f"pred/{sample_id}.txt")))
+        accuracy = AccuracyScore(Fraction(i % 7, 7), 7 - i % 7, 7, 7)
+        results.append(
+            TaskResult(sample_id, task, correct=i % 3 == 0)
+            if task is Task.VSU else
+            TaskResult(sample_id, task, fmt_legal=True, technical=3,
+                       rules=SmgRuleReport(True, True, False, True, False))
+            if task is Task.SMG else
+            TaskResult(sample_id, task, acc_pitch=accuracy,
+                       acc_duration=accuracy, fmt_legal=i % 5 > 0,
+                       hybrid=Fraction(i % 5, 5),
+                       diagnostics=(f"jianpu.barline: measure {i}",)))
+    external = {r.id: {"aesthetic": 3.5} for r in records[::8]}
+    return Report(EvalConfig(), tuple(records), tuple(results), external,
+                  ("a warning",))
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_write_report_holds_under_half_the_report_text_at_once(tmp_path):
+    """Beyond what ``to_json_dict`` alone holds, writing the report holds
+    less than half its bytes at any time: neither its whole text nor its
+    encoded copy is built."""
+    report = _synthetic_report(2000)
+    out = tmp_path / "r.json"
+    write_report(report, out)  # aggregates the report, which is cached
+    dict_peak = _traced_peak(report.to_json_dict)
+    write_peak = _traced_peak(lambda: write_report(report, out))
+    size = out.stat().st_size
+    assert size > 1_000_000
+    assert (write_peak - dict_peak) / size < 0.5
 
 
 def test_write_report_serializes_the_report_once(tmp_path, monkeypatch):

@@ -138,3 +138,44 @@ def test_equal_records_hash_equal(cls, args):
     # Built twice, so equal without being the same objects.
     assert cls(*args()) == cls(*args())
     assert hash(cls(*args())) == hash(cls(*args()))
+
+
+# Each record that checks its fields in __new__, with a field and a value
+# that construction rejects.
+CHECKED = [
+    (TimeSignature, "denominator", 3),
+    (Measure, "events", (Event(1, 1, (60,)), Event(0, 1, (62,)))),
+    (ScoreDoc, "measures", ()),
+    (ScientificPitch, "octave", 10),
+    (KeySignature, "tonic", 12),
+    (Tuning, "base", DROP_D[:5]),
+    (TabEvent, "fret", -1),
+    (JianpuNote, "degree", 8),
+    (MetricWeights, "pitch", Fraction(5)),
+    (CapabilityWeights, "vsu", Fraction(5)),
+    (EvalConfig, "grid", Fraction(0)),
+]
+
+
+def test_every_checking_record_is_listed():
+    # A namedtuple subclass with its own __new__; Report's only fills in
+    # a default.
+    assert {cls for cls, _ in RECORDS if "__new__" in vars(cls)
+            and "_make" in vars(cls.__base__)} - {Report} \
+        == {cls for cls, *_ in CHECKED}
+
+
+@pytest.mark.parametrize("cls,field,bad", CHECKED,
+                         ids=[cls.__name__ for cls, *_ in CHECKED])
+def test_replace_and_make_check_as_construction_does(cls, field, bad):
+    args = dict(RECORDS)[cls]()
+    fields = {**_parameters(cls, args), field: bad}
+    with pytest.raises(Exception) as built:
+        cls(**fields)
+    record = cls(*args)
+    for derive in (lambda: record._replace(**{field: bad}),
+                   lambda: cls._make(fields.values())):
+        with pytest.raises(Exception) as derived:
+            derive()
+        assert type(derived.value) is type(built.value)
+        assert str(derived.value) == str(built.value)
