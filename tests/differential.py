@@ -19,6 +19,14 @@ same seed, and the outputs must not differ.
     diff old.txt new.txt
 
 COUNT, the number of documents, is 10,000 unless given.
+
+``tests/data/differential.json`` pins the verdicts of ``PINNED_COUNT``
+documents for each of ``PINNED_SEEDS``, grouped by format and layout
+(``group_digests``); ``tests/test_differential.py`` regenerates them.
+A change that means to change a verdict rewrites that file:
+
+    PYTHONPATH=src python3 tests/differential.py pin \
+        > tests/data/differential.json
 """
 
 from __future__ import annotations
@@ -46,6 +54,8 @@ _JIANPU_NOTES = ("1", "2", "3", "4", "5", "6", "7", "0", "1'", "5,", "3_",
 _JIANPU_ERRORS = ("8", "9", "1x", "0'", "| |", "1" + "_" * 13, "-")
 _TAB_LABELS = ("e|", "B|", "G|", "D|", "A|", "E|")
 LAYOUTS = ("aligned", "one_line", "straddled", "random")
+PINNED_SEEDS = (1, 2)
+PINNED_COUNT = 3_000
 
 
 def _passage(rng: random.Random, fmt: str) -> list[list[str]]:
@@ -142,15 +152,41 @@ def digest(fmt: str, text: str) -> str:
     return hashlib.sha256(repr(parts).encode()).hexdigest()[:16]
 
 
-def main(argv: list[str]) -> None:
-    seed = int(argv[1])
-    count = int(argv[2]) if len(argv) > 2 else 10_000
+def documents(seed: int, count: int):
+    """The number, format, layout and digest of each of ``count``
+    documents drawn from ``seed``."""
     rng = random.Random(f"differential:{seed}")
     for n in range(count):
         fmt = ("staff", "jianpu", "tab")[n % 3]
         text, layout = tab(rng) if fmt == "tab" else \
             staff_or_jianpu(rng, fmt)
-        print(n, fmt, layout, digest(fmt, text))
+        yield n, fmt, layout, digest(fmt, text)
+
+
+def group_digests(seed: int, count: int) -> dict[str, dict]:
+    """For each format and layout, the SHA-256 of its documents' lines as
+    ``main`` prints them, and a check string of two hex digits from each
+    document's digest in turn, which names the document that changed."""
+    lines: dict[str, list[str]] = {}
+    checks: dict[str, list[str]] = {}
+    for n, fmt, layout, short in documents(seed, count):
+        group = f"{fmt} {layout}"
+        lines.setdefault(group, []).append(f"{n} {group} {short}\n")
+        checks.setdefault(group, []).append(short[:2])
+    return {group: {"sha256": hashlib.sha256(
+                        "".join(lines[group]).encode()).hexdigest(),
+                    "check": "".join(checks[group])}
+            for group in sorted(lines)}
+
+
+def main(argv: list[str]) -> None:
+    if argv[1] == "pin":
+        print(json.dumps({str(seed): group_digests(seed, PINNED_COUNT)
+                          for seed in PINNED_SEEDS}, indent=1))
+        return
+    count = int(argv[2]) if len(argv) > 2 else 10_000
+    for line in documents(int(argv[1]), count):
+        print(*line)
 
 
 if __name__ == "__main__":
