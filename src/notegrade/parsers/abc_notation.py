@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from itertools import islice
 
 from ..errors import ParseError, PitchError
 from ..pitch import LETTER_SEMITONES, KeySignature, check_midi, sort_chord
@@ -37,14 +38,11 @@ _UNIT_RE = re.compile(r"([0-9]+)/([0-9]+)")
 _PITCH_RE = re.compile(r"([\^_=]?)([A-Ga-g])([',]*)")
 _LENGTH_RE = re.compile(r"([0-9]*)(/*)([0-9]*)")
 _ACCIDENTALS = {"^": 1, "_": -1, "=": 0}
-# One item of a tune body, after any whitespace: a barline, a tie, a rest
-# or a note with its length (or a stray accidental), a chord's "[", or
-# any other character. The outer group that matched tells which. In a
-# rest or note, groups 4-6 are a note's accidental, letter and octave
-# marks (_PITCH_RE), and groups 7-9 the length's parts (_LENGTH_RE).
-_ITEM_RE = re.compile(rf"\s*(?:(\|\]|\|\||\|)|(-)|((?:z|{_PITCH_RE.pattern})"
-                      rf"{_LENGTH_RE.pattern}|[\^_=])|(\[)|(\S))")
-_BAR, _TIE, _SOUND, _LENGTH, _CHORD = 1, 2, 3, 7, 10
+# One item of a tune body, after any whitespace: a rest, note or chord
+# with its length, or any other character (a tie, a stray accidental, a
+# chord's "[" when no well-formed chord follows, ...).
+_ITEM_RE = re.compile(r"\s*((?:z|[\^_=]?[A-Ga-g][',]*|\[(?:[\^_=]?[A-Ga-g][',]*)+\])"
+                      r"[0-9]*/*[0-9]*|\S)")
 
 
 def _number(digits: str, line: int, column: int | None = None,
@@ -144,84 +142,85 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
                 unit: Fraction) -> tuple[tuple[Measure, ...], bool]:
     """The measures of a tune body, and whether it ends on a barline.
 
-    Each line is read item by item (``_ITEM_RE``), and each distinct note
-    or rest text is resolved once. Every measure starts in the same
-    state, so the measure written as each distinct text from a line start
-    or a barline to the next barline is built once, kept when the barline
-    closes it, and then taken with one lookup where it starts. A text
-    that raises is not kept, and a measure that spans lines is read item
-    by item. A line read from a clean state (nothing pending, no "|]", a
-    measure closed, so that an opening barline is an empty measure) that
-    leaves nothing pending is kept too, as the measures it closed, for
-    one lookup.
+    A line is read a measure at a time, from a line start or a barline
+    to the next barline: one ``findall`` finds the measure's items, and
+    each item text is resolved once (see the module docstring for the
+    memos).
     """
     key_shift = key_signature_accidentals(key_name)
     unit_beats = (unit.numerator * 4, unit.denominator)
-    # The pitches and ticks of each distinct note or rest text.
-    sounds: dict[str, tuple[tuple[int, ...], int]] = {}
+    # The ticks and pitches of each distinct rest, note or chord text,
+    # and the parts they are made of.
+    sounds: dict[str, tuple[int, tuple[int, ...]]] = {}
+    parts = ({}, {})  # the MIDI number of a pitch text, the ticks of a length
     measure_of: dict[str, Measure] = {}
     line_of: dict[str, tuple[Measure, ...]] = {}
     measures: list[Measure] = []
     pending: list[Event] = []
     onset = 0
     finished = False
+    new = tuple.__new__
     for line_no, text in body:
         first = len(measures)
         clean = first and not pending and not finished
         if clean and text in line_of:
             measures += line_of[text]
             continue
-        i, key = 0, None
-        while i < len(text):
-            memo = None
-            if not pending and not finished:
-                # A kept measure starting at i; its barline is read below.
-                end = text.find("|", i)
-                key = text[i:end] if end >= 0 else None
-                memo = measure_of.get(key)
-                if memo is not None:
-                    i = end
-            item = _ITEM_RE.match(text, i)
-            if item is None:
+        i = 0
+        while True:
+            end = text.find("|", i)
+            stop = end if end >= 0 else len(text)
+            key = text[i:end] if not pending and not finished and end >= 0 \
+                else None
+            memo = measure_of.get(key)
+            items = () if memo is not None else \
+                _ITEM_RE.findall(text, i, stop)
+            if items and finished:
+                raise _error("content after final barline", line_no,
+                             _item_start(text, i, stop, 0))
+            for k, item in enumerate(items):
+                sound = sounds.get(item)
+                if sound is None:
+                    if item == "-":
+                        # A tied last event means the item before was a
+                        # tie too.
+                        if not pending or pending[-1][3]:
+                            raise _error("tie must directly follow a note",
+                                         line_no, _item_start(text, i, stop, k))
+                        if not pending[-1][2]:
+                            raise _error("rests cannot be tied", line_no,
+                                         _item_start(text, i, stop, k))
+                        pending[-1] = new(Event, (*pending[-1][:3], True))
+                        continue
+                    try:
+                        sound = sounds[item] = _resolve(
+                            item, line_no, key_shift, unit_beats, parts)
+                    except ParseError as exc:
+                        at = _item_start(text, i, stop, k)
+                        if item == "[":  # no well-formed chord: find why
+                            _scan_chord(text, at, line_no, key_shift,
+                                        unit_beats)
+                        exc.column += at
+                        raise
+                ticks, pitches = sound
+                pending.append(new(Event, (onset, ticks, pitches, False)))
+                onset += ticks
+            if end < 0:
                 break
-            kind = item.lastindex
-            start, i = item.start(kind), item.end()
             if finished:
-                raise _error("content after final barline", line_no, start)
-            if kind == _SOUND:
-                token = item[kind]
-                if token not in sounds:
-                    sounds[token] = _sound(item, line_no, key_shift,
-                                           unit_beats)
-                pitches, ticks = sounds[token]
-            elif kind == _CHORD:
-                pitches, ticks, i = _scan_chord(text, start, line_no,
-                                                key_shift, unit_beats)
-            elif kind == _BAR:
-                if memo is None and pending:
-                    memo = Measure.trusted(tuple(pending))
-                    if key is not None:
-                        measure_of[key] = memo
-                if memo is not None:
-                    measures.append(memo)
-                elif measures:
-                    raise _error("empty measure", line_no, start)
-                pending, onset = [], 0
-                finished = item[kind] == "|]"
-                continue
-            elif kind == _TIE:
-                # A tied last event means the item before was a tie too.
-                if not pending or pending[-1].tied:
-                    raise _error("tie must directly follow a note", line_no, start)
-                last = pending[-1]
-                if last.is_rest:
-                    raise _error("rests cannot be tied", line_no, start)
-                pending[-1] = Event.trusted(*last[:3], True)
-                continue
-            else:
-                raise _error(f"unexpected character {item[kind]!r}", line_no, start)
-            pending.append(Event.trusted(onset, ticks, pitches))
-            onset += ticks
+                raise _error("content after final barline", line_no, end)
+            if memo is None and pending:
+                memo = Measure.trusted(tuple(pending))
+                if key is not None:
+                    measure_of[key] = memo
+            if memo is not None:
+                measures.append(memo)
+            elif measures:
+                raise _error("empty measure", line_no, end)
+            pending, onset = [], 0
+            bar = text[end:end + 2]
+            finished = bar == "|]"
+            i = end + (2 if bar in ("|]", "||") else 1)
         if clean and not pending:
             line_of[text] = tuple(measures[first:])
     if pending:
@@ -232,17 +231,37 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
     return tuple(measures), not pending
 
 
-def _sound(item: re.Match, line_no: int, key_shift: dict[str, int],
-           unit_beats: tuple[int, int]) -> tuple[tuple[int, ...], int]:
-    """The pitches and ticks of the rest or note ``item`` of _ITEM_RE."""
-    accidental, letter, marks, *length = item.group(4, 5, 6, 7, 8, 9)
-    i = item.start(_SOUND)
-    if item[_SOUND] in _ACCIDENTALS:
-        raise _error("accidental must be followed by a note letter", line_no, i)
-    pitches = () if letter is None else (
-        _pitch(accidental, letter, marks, key_shift, line_no, i),)
-    return pitches, _ticks(*length, line_no, item.start(_LENGTH), i + 1,
-                           unit_beats)
+def _item_start(text: str, i: int, stop: int, k: int) -> int:
+    """The index in ``text`` of item ``k`` of ``text[i:stop]``."""
+    return next(islice(_ITEM_RE.finditer(text, i, stop), k, None)).start(1)
+
+
+def _resolve(item: str, line_no: int, key_shift: dict[str, int],
+             unit_beats: tuple[int, int],
+             parts: tuple[dict, dict]) -> tuple[int, tuple[int, ...]]:
+    """The ticks and pitches of the rest, note or chord ``item``, or the
+    ParseError it makes, located as if the item began its line. ``parts``
+    holds the MIDI number of each pitch text and the ticks of each length
+    text resolved so far."""
+    if item[0] == "[":
+        pitches, ticks, _ = _scan_chord(item, 0, line_no, key_shift,
+                                        unit_beats)
+        return ticks, pitches
+    if item in _ACCIDENTALS:
+        raise _error("accidental must be followed by a note letter",
+                     line_no, 0)
+    if len(item) == 1 and item not in "zABCDEFGabcdefg":
+        raise _error(f"unexpected character {item!r}", line_no, 0)
+    midi_of, ticks_of = parts
+    pitch = item.rstrip("0123456789/")  # the length is digits and slashes
+    length = item[len(pitch):]
+    if pitch != "z" and pitch not in midi_of:
+        midi_of[pitch] = _pitch(*_PITCH_RE.fullmatch(pitch).groups(),
+                                key_shift, line_no, 0)
+    if length not in ticks_of:
+        ticks_of[length] = _ticks(*_LENGTH_RE.fullmatch(length).groups(),
+                                  line_no, len(pitch), 1, unit_beats)
+    return ticks_of[length], () if pitch == "z" else (midi_of[pitch],)
 
 
 def _scan_chord(text: str, i: int, line_no: int, key_shift: dict[str, int],

@@ -18,6 +18,7 @@ measure it spans.
 from __future__ import annotations
 
 import re
+from itertools import islice
 
 from ..errors import ParseError, PitchError
 from ..pitch import (MAJOR_SCALE_SEMITONES, MIDI_MAX, MIDI_MIN, JianpuNote,
@@ -49,28 +50,24 @@ def parse_key_directive(line: str,
     return key, meter
 
 
-def _resolve_token(token: str, key: KeySignature, line_no: int,
-                   column: int) -> tuple[int, tuple[int, ...]]:
-    """The duration in ticks and the pitches of a note or rest token."""
+def _resolve_token(token: str,
+                   key: KeySignature) -> tuple[int, tuple[int, ...]]:
+    """The duration in ticks and the pitches of a note or rest token; a
+    ParseError it raises carries no position."""
     match = _TOKEN_RE.match(token)
     if not match:
         if re.match(r"^[89]", token):
-            raise ParseError(
-                f"scale degree out of range in {token!r}", line=line_no,
-                column=column, rule_id="jianpu.degree_range")
-        raise ParseError(
-            f"unexpected token {token!r}", line=line_no, column=column,
-            rule_id="jianpu.parse")
+            raise ParseError(f"scale degree out of range in {token!r}",
+                             rule_id="jianpu.degree_range")
+        raise ParseError(f"unexpected token {token!r}", rule_id="jianpu.parse")
     degree = int(match.group(1))
     marks = match.group(2) or ""
     octave_mod = marks.count("'") - marks.count(",")
     if degree == 0 and octave_mod:
-        raise ParseError(
-            "rests cannot carry octave marks", line=line_no, column=column,
-            rule_id="jianpu.parse")
-    duration = beats_to_ticks(
-        1, 2 ** len(match.group(3) or ""), line=line_no, column=column,
-        rule_id="jianpu.duration_resolution")
+        raise ParseError("rests cannot carry octave marks",
+                         rule_id="jianpu.parse")
+    duration = beats_to_ticks(1, 2 ** len(match.group(3) or ""),
+                              rule_id="jianpu.duration_resolution")
     if degree == 0:
         return duration, ()
     midi = key.base_midi + MAJOR_SCALE_SEMITONES[degree - 1] + 12 * octave_mod
@@ -79,9 +76,17 @@ def _resolve_token(token: str, key: KeySignature, line_no: int,
     try:  # out of range: the checked call raises, with its message
         return duration, (jianpu_to_midi(JianpuNote(degree, octave_mod), key),)
     except PitchError as exc:
-        raise ParseError(
-            str(exc), line=line_no, column=column,
-            rule_id="jianpu.pitch_range") from None
+        raise ParseError(str(exc), rule_id="jianpu.pitch_range") from None
+
+
+def _column(parts: list[str], k: int, word: int | None = None) -> int:
+    """The 1-based column, in the line split at barlines into ``parts``,
+    of the barline after ``parts[k]``, or of its word number ``word``."""
+    column = sum(map(len, parts[:k + 1])) + k + 1
+    if word is None:
+        return column
+    found = next(islice(_WORD_RE.finditer(parts[k]), word, None))
+    return column - len(parts[k]) + found.start()
 
 
 def parse_jianpu(text: str,
@@ -112,44 +117,15 @@ def parse_jianpu(text: str,
 
     closed: list[Measure] = []
     pending: list[Event] = []
+    onset = 0
     bar_seen = False
-    # Duration in ticks and pitches of each distinct note or rest token.
+    # The duration in ticks and the pitches of each distinct note or rest.
     resolved: dict[str, tuple[int, tuple[int, ...]]] = {}
-    # The measure built from each distinct measure text (see below).
+    # The measure built from each distinct measure text (see the module
+    # docstring), and the measures each kept line closed.
     measure_of: dict[str, Measure] = {}
-
-    def read(token: str, line_no: int, column: int) -> None:
-        """Add the note, rest or dash ``token`` to the pending measure."""
-        if token == "-":
-            # Hold the previous event one beat more, across a barline too;
-            # a closed measure is rebuilt, never changed, as it may be shared.
-            if pending:
-                last = pending[-1]
-                pending[-1] = Event.trusted(*last[:3], True)
-            elif closed:
-                *held, last = closed[-1].events
-                closed[-1] = Measure.trusted(
-                    (*held, Event.trusted(*last[:3], True)))
-            else:
-                raise ParseError(
-                    "dash has no note to continue", line=line_no, column=column,
-                    rule_id="jianpu.parse")
-            duration, pitches = TICKS_PER_BEAT, last.pitches
-        else:
-            if token not in resolved:
-                resolved[token] = _resolve_token(token, key, line_no, column)
-            duration, pitches = resolved[token]
-        onset = pending[-1].onset_ticks + pending[-1].duration_ticks \
-            if pending else 0
-        pending.append(Event.trusted(onset, duration, pitches))
-
-    # A measure between two barlines of one line starts in the same state
-    # wherever it appears, unless a dash opens it, so each distinct text
-    # is read once and kept, then taken with one lookup; a text that
-    # raises is not kept. So is a line that starts and ends with nothing
-    # pending after a barline, and whose first word is not a dash (which
-    # rebuilds the measure before).
     line_of: dict[str, tuple[Measure, ...]] = {}
+    new = tuple.__new__
     for line_no, line in lines[directive_idx + 1:]:
         clean = bar_seen and not pending
         if clean and line in line_of:
@@ -158,29 +134,51 @@ def parse_jianpu(text: str,
         first = len(closed)
         parts = _BAR_RE.split(line)
         bars = len(parts) - 1
-        offset = 0  # parts[k] starts at line[offset]
         for k, part in enumerate(parts):
             written = part.strip()
             kept = not pending and not written.startswith("-")
             if kept and k < bars and written in measure_of:
                 closed.append(measure_of[written])
-                offset += len(part) + 1
                 continue
-            for word in _WORD_RE.finditer(part):
-                read(word[0], line_no, offset + word.start() + 1)
+            for n, word in enumerate(written.split()):
+                sound = resolved.get(word)
+                if sound is None and word == "-":
+                    # Hold the event before one beat more, across a barline
+                    # too; a closed measure is rebuilt, never changed, as
+                    # it may be shared.
+                    if pending:
+                        last = pending[-1] = new(Event, (*pending[-1][:3], True))
+                    elif closed:
+                        *held, last = closed[-1].events
+                        last = new(Event, (*last[:3], True))
+                        closed[-1] = Measure.trusted((*held, last))
+                    else:
+                        raise ParseError(
+                            "dash has no note to continue", line=line_no,
+                            column=_column(parts, k, n),
+                            rule_id="jianpu.parse")
+                    sound = (TICKS_PER_BEAT, last[2])
+                elif sound is None:
+                    try:
+                        sound = resolved[word] = _resolve_token(word, key)
+                    except ParseError as exc:
+                        exc.line, exc.column = line_no, _column(parts, k, n)
+                        raise
+                duration, pitches = sound
+                pending.append(new(Event, (onset, duration, pitches, False)))
+                onset += duration
             if k == bars:
                 break
             if pending:
                 closed.append(Measure.trusted(tuple(pending)))
                 if kept:
                     measure_of[written] = closed[-1]
-                pending.clear()
+                pending, onset = [], 0
             elif bar_seen:
                 raise ParseError("empty measure", line=line_no,
-                                 column=offset + len(part) + 1,
+                                 column=_column(parts, k),
                                  rule_id="jianpu.measure_bars")
             bar_seen = True
-            offset += len(part) + 1
         if clean and not pending and not line.lstrip().startswith("-"):
             line_of[line] = tuple(closed[first:])
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Container
+from itertools import accumulate, count
 
 from ..errors import ParseError, PitchError
 from ..pitch import (
@@ -33,7 +34,7 @@ _BAD_CHAR_RE = re.compile(r"[^0-9|-]")
 _BAR_RE = re.compile(r"\|")
 _RUN_RE = re.compile(r"[0-9]+")
 _FRETLESS = str.maketrans("0123456789", "-" * 10)
-_ZERO_WIDTH = ("",) * 6
+_ZERO_WIDTH = "|" * 5  # six empty slices joined
 _KEY, _METER = KeySignature.parse("C"), TimeSignature(4, 4)
 
 
@@ -63,15 +64,15 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
     if width == 0:
         raise ParseError("tablature body is empty", rule_id="tab.parse")
 
-    for (line_no, _), body in zip(non_blank, bodies):
-        bad = _BAD_CHAR_RE.search(body)
-        if bad:
+    # A body less its frets is its barlines and any character not allowed.
+    fretless = [body.translate(_FRETLESS) for body in bodies]
+    for (line_no, _), body, bare in zip(non_blank, bodies, fretless):
+        if bare.count("-") + bare.count("|") < len(bare):
+            bad = _BAD_CHAR_RE.search(body)
             raise ParseError(
                 f"character {bad[0]!r} not allowed in tablature", line=line_no,
                 column=bad.start() + 3, rule_id="tab.charset")
-
-    # With the charset checked, a body less its frets is its barlines.
-    if len({body.translate(_FRETLESS) for body in bodies}) > 1:
+    if len(set(fretless)) > 1:
         bars = [{m.start() for m in _BAR_RE.finditer(body)} for body in bodies]
         stray = set().union(*bars).difference(bars[0].intersection(*bars))
         raise ParseError(
@@ -80,18 +81,28 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
             rule_id="tab.bar_alignment")
 
     # A segment between barlines is keyed by its six slices, and no fret
-    # run crosses a barline: each distinct run of a string's distinct
-    # slices is checked and resolved once, and an error located at its first
-    # run only when there is one, so every measure below parses cleanly.
-    # Fret errors come first, in string order; then the leftmost pitch error.
-    segments = list(zip(*(body.split("|") for body in bodies)))
-    distinct = dict.fromkeys(segments)
-    midi_of: list[dict[str, int]] = []
+    # run crosses a barline: each string's distinct slices are joined by
+    # barlines and swept once, each distinct run text is checked and
+    # resolved once, and an error is located at its first run only when
+    # there is one, so every measure below parses cleanly. Fret errors
+    # come first, in string order; then the leftmost pitch error.
+    slices = [body.split("|") for body in bodies]
+    # Each segment as the index of its first copy (keyed by its six
+    # slices joined), and the first copies in turn.
+    first_of: dict[str, int] = {}
+    segments = list(map(first_of.setdefault, map("|".join, zip(*slices)),
+                        count()))
+    distinct = list(first_of.values())
+    # The MIDI numbers of the runs that start at each index of the joined
+    # slices, on any string: a frame.
+    frames: dict[int, set[int]] = {}
     pitch_errors: list[tuple[int, int, str]] = []  # column, string, message
     for string, ((line_no, _), body, pieces, open_midi) in enumerate(
-            zip(non_blank, bodies, zip(*distinct), tuning.base), start=1):
+            zip(non_blank, bodies, slices, tuning.base), start=1):
+        runs = list(_RUN_RE.finditer("|".join(map(pieces.__getitem__,
+                                                   distinct))))
         midi, too_high, unplayable = {}, {}, {}
-        for text in set(_RUN_RE.findall("|".join(pieces))):
+        for text in set(map(re.Match.group, runs)):
             fret = text.lstrip("0") or "0"
             # Compare lengths first: int() refuses very long digit runs.
             if len(fret) > len(str(FRET_MAX)) or int(fret) > FRET_MAX:
@@ -112,23 +123,38 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
         if unplayable:
             run = _first_run(body, unplayable)
             pitch_errors.append((run.start(), string, unplayable[run[0]]))
-        midi_of.append(midi)
+            continue
+        for run in runs:
+            frames.setdefault(run.start(), set()).add(midi[run[0]])
     if pitch_errors:
         column, _, message = min(pitch_errors)
         raise ParseError(message, column=column + 3,
                          rule_id="tab.pitch_range")
+    if not frames:
+        raise ParseError("tablature contains no notes", rule_id="tab.parse")
 
+    # Each distinct segment is a measure of its frames, a beat apart.
+    # Segment k of the joined slices ends before ends[k].
+    ends = list(accumulate(map((1).__add__, map(len, map(
+        slices[0].__getitem__, distinct)))))
+    events: list[list[Event]] = [[] for _ in ends]
+    k = 0
+    for index in sorted(frames):
+        while index >= ends[k]:
+            k += 1
+        events[k].append(tuple.__new__(Event, (
+            len(events[k]) * TICKS_PER_BEAT, TICKS_PER_BEAT,
+            tuple(sorted(frames[index])), False)))
+    measure_of = dict(zip(distinct, map(Measure.trusted, map(tuple, events))))
     # Each segment is a measure, even a silent one, but one of zero width
     # is none, and the one after the last barline is one only when it
-    # holds notes. Each distinct segment is built once.
-    measure_of = {segment: _measure(segment, midi_of) for segment in distinct}
+    # holds notes.
     last = measure_of[segments.pop()]
+    zero_width = first_of.get(_ZERO_WIDTH, -1)
     measures = list(map(measure_of.__getitem__,
-                        filter(_ZERO_WIDTH.__ne__, segments)))
+                        filter(zero_width.__ne__, segments)))
     if last.events:
         measures.append(last)
-    elif not any(m.events for m in measure_of.values()):
-        raise ParseError("tablature contains no notes", rule_id="tab.parse")
 
     return ScoreDoc(
         format=NotationFormat.ASCII_TAB,
@@ -142,19 +168,3 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
 def _first_run(body: str, texts: Container[str]) -> re.Match:
     """The leftmost fret run in ``body`` written as one of ``texts``."""
     return next(run for run in _RUN_RE.finditer(body) if run[0] in texts)
-
-
-def _measure(segment: tuple[str, ...],
-             midi_of: list[dict[str, int]]) -> Measure:
-    """The measure on the six string slices ``segment``: fret runs that
-    start in the same column form one frame, and frames are a beat
-    apart."""
-    frames: dict[int, set[int]] = {}
-    stride = len(segment[0]) + 1
-    for run in _RUN_RE.finditer("|".join(segment)):
-        string, column = divmod(run.start(), stride)
-        frames.setdefault(column, set()).add(midi_of[string][run[0]])
-    return Measure.trusted(tuple(
-        Event.trusted(beat * TICKS_PER_BEAT, TICKS_PER_BEAT,
-                      tuple(sorted(frames[column])))
-        for beat, column in enumerate(sorted(frames))))
