@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, compress
-from operator import attrgetter
+from itertools import accumulate, chain, compress
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -20,7 +19,6 @@ from .metrics import require_exact
 from .score import TICKS_PER_BEAT, GroundTruth, ScoreDoc
 
 DEFAULT_GRID = Fraction(1, 4)
-_EVENTS = attrgetter("events")
 
 
 class CanonicalSequence(NamedTuple):
@@ -47,24 +45,46 @@ def project(doc: ScoreDoc) -> CanonicalSequence:
 
     An event joins the unit before it when the event before it is tied
     and has the same pitches; the unit lasts as long as its events.
+    Each distinct measure object is flattened once, since the parsers'
+    memos share one among its copies: its events join within it, then
+    the streams of the measures in turn join across each barline where
+    the measure before ends tied.
     """
-    events = chain.from_iterable(map(_EVENTS, doc.measures))
-    _, ticks, pitches, tied = list(zip(*events)) or ((),) * 4
-    joined = [j for j in compress(range(1, len(tied)), tied)
-              if pitches[j] == pitches[j - 1]]
-    if joined:
-        ticks = list(ticks)
-        keep = [True] * len(ticks)
-        for j in joined:
-            keep[j] = False
-        head = 0
-        for j in joined:  # ascending, so each unit's head is seen first
-            if keep[j - 1]:
-                head = j - 1
-            ticks[head] += ticks[j]
-        pitches = tuple(compress(pitches, keep))
-        ticks = tuple(compress(ticks, keep))
-    return CanonicalSequence(tuple(filter(None, pitches)), ticks)
+    keys = list(map(id, doc.measures))
+    pitches_of, ticks_of, tied_of = {}, {}, {}
+    for key, measure in dict(zip(keys, doc.measures)).items():
+        # A silent tab measure has no units, and leaves a tie to the next.
+        _, ticks, pitches, tied = list(zip(*measure.events)) or ((),) * 4
+        pitches_of[key], ticks_of[key] = _join(pitches, ticks, [
+            j for j in compress(range(1, len(tied)), tied)
+            if pitches[j] == pitches[j - 1]])
+        tied_of[key] = tied[-1] if tied else False
+    pitches = list(chain.from_iterable(map(pitches_of.__getitem__, keys)))
+    ticks = list(chain.from_iterable(map(ticks_of.__getitem__, keys)))
+    if True in tied_of.values():
+        # Where each measure's units end in the streams.
+        ends = accumulate(map(len, map(ticks_of.__getitem__, keys)))
+        pitches, ticks = _join(pitches, ticks, [
+            j for j in compress(ends, map(tied_of.__getitem__, keys))
+            if j < len(pitches) and pitches[j] == pitches[j - 1]])
+    return CanonicalSequence(tuple(filter(None, pitches)), tuple(ticks))
+
+
+def _join(pitches, ticks, joined: list[int]) -> tuple[tuple, tuple]:
+    """The pitches and ticks of units, with each unit at the ascending
+    indices ``joined`` merged into the unit before it."""
+    if not joined:
+        return pitches, ticks
+    ticks = list(ticks)
+    keep = [True] * len(ticks)
+    for j in joined:
+        keep[j] = False
+    head = 0
+    for j in joined:  # ascending, so each unit's head is seen first
+        if keep[j - 1]:
+            head = j - 1
+        ticks[head] += ticks[j]
+    return tuple(compress(pitches, keep)), tuple(compress(ticks, keep))
 
 
 def project_ground_truth(gt: GroundTruth) -> CanonicalSequence:

@@ -15,6 +15,8 @@ import enum
 import re
 from collections import namedtuple
 from fractions import Fraction
+from itertools import accumulate, chain, filterfalse
+from operator import add
 from typing import NamedTuple
 
 from .metrics import (AccuracyScore, MetricWeights, alignment_accuracy,
@@ -257,21 +259,38 @@ def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
 
 def smg_rules(doc: ScoreDoc,
               declared_key: KeySignature | None) -> SmgRuleReport:
-    """Evaluate the five generation rules on a parsed piece."""
+    """Evaluate the five generation rules on a parsed piece.
+
+    Each distinct measure object is checked once, in flat passes over
+    the events of all of them: the parsers' memos share one among its
+    copies. Nothing assumes that onsets are running sums.
+    """
     capacity = doc.meter.ticks
     complete = doc.measures if doc.final_barline else doc.measures[:-1]
-    measure_arith_ok = all(m.duration_ticks == capacity for m in complete)
+    distinct = dict(zip(map(id, doc.measures), doc.measures))
+    events = [measure.events for measure in distinct.values()]
+    bounds = list(accumulate(map(len, events), initial=0))
+    spans = list(map(slice, bounds, bounds[1:]))
+    onsets, durations, pitches, _ = \
+        list(zip(*chain.from_iterable(events))) or ((),) * 4
+    full = dict(zip(distinct, map(capacity.__eq__, map(
+        sum, map(durations.__getitem__, spans)))))
+    # The measures that do not fill the meter, unless the only one is the
+    # last, open measure and it appears nowhere else.
+    short = list(filterfalse(full.__getitem__, full))
+    last = id(doc.measures[-1])
+    measure_arith_ok = not short or (
+        short == [last] and not doc.final_barline
+        and last not in map(id, complete))
     if doc.format is NotationFormat.ASCII_TAB or declared_key is None:
         key_consistent = True
     else:
         key_consistent = doc.key.tonic == declared_key.tonic
-    rests_legal = all(
-        any(not e.is_rest for e in m.events) for m in doc.measures)
+    rests_legal = all(map(any, map(pitches.__getitem__, spans)))
     structure_ok = (
         len(complete) >= 2
         and doc.final_barline
-        and all(e.onset_ticks + e.duration_ticks <= capacity
-                for e in doc.events()))
+        and max(map(add, onsets, durations), default=0) <= capacity)
     return SmgRuleReport(
         renderable=True,
         measure_arith_ok=measure_arith_ok,
