@@ -439,6 +439,9 @@ def write_report(report: Report, out_path: str | Path,
     if csv_path is not None and (Path(csv_path).resolve()
                                  == Path(out_path).resolve()):
         raise ConfigError("--csv must name a different file from --out")
+    for path in (out_path, csv_path):  # no report in place, none written
+        if path is not None and Path(path).is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
     data = report.to_json_dict()
     texts = {Path(out_path): _json_chunks(data)}
     if csv_path is not None:

@@ -115,6 +115,9 @@ def parse_ground_truth(text: str) -> GroundTruth:
 
 
 def load_ground_truth(path: str | Path) -> GroundTruth:
-    """Load and parse a ground-truth file; unreadable files are SchemaErrors."""
-    return parse_ground_truth(
-        read_input(path, f"ground truth {path}", SchemaError))
+    """Load and parse a ground-truth file; any flaw, an unreadable file
+    too, is a SchemaError that names the file."""
+    try:
+        return parse_ground_truth(read_input(path, "ground truth", SchemaError))
+    except SchemaError as exc:
+        raise SchemaError(f"{path}: {exc}") from None

@@ -346,6 +346,45 @@ def test_batch_unwritable_output_leaves_no_report(tmp_path, capsys, out,
 
 
 @pytest.mark.parametrize("out, csv_out", [
+    ("r.json", "out.csv"),
+    ("out.csv", "r.csv"),
+], ids=["csv", "json"])
+def test_batch_report_onto_a_directory_writes_nothing(tmp_path, monkeypatch,
+                                                      capsys, out, csv_out):
+    """A target that is a directory is refused before either report is
+    written, so the other one is not left in place."""
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "pred.txt", "b")
+    _write(tmp_path / "m.jsonl", json.dumps(
+        {"id": "v1", "task": "vsu", "format": "staff",
+         "pred_path": "pred.txt", "answer": "b"}) + "\n")
+    (tmp_path / "out.csv").mkdir()
+    assert main(["batch", "--manifest", "m.jsonl", "--out", out,
+                 "--csv", csv_out]) == 1
+    assert capsys.readouterr().err == (
+        "error: cannot write out.csv: it is a directory\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == [
+        "m.jsonl", "out.csv", "pred.txt"]
+    assert not any((tmp_path / "out.csv").iterdir())
+
+
+def test_batch_names_the_corrupt_ground_truth(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "pred.abc", SCALE_ABC)
+    _write(tmp_path / "good.json", json.dumps(SCALE_GT))
+    _write(tmp_path / "bad.json", '{"x": 1')
+    _write(tmp_path / "m.jsonl", "".join(json.dumps(row) + "\n" for row in [
+        {"id": f"c{n}", "task": "cnc", "format": "staff",
+         "pred_path": "pred.abc", "gt_path": gt}
+        for n, gt in enumerate(("good.json", "bad.json"))]))
+    assert main(["batch", "--manifest", "m.jsonl", "--out", "r.json"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: bad.json: ground truth is not valid JSON")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "r.json").exists()
+
+
+@pytest.mark.parametrize("out, csv_out", [
     ("r.csv.tmp", "r.csv"),
     ("r.json", "r.json.tmp"),
 ])
