@@ -59,16 +59,33 @@ _EVENT = st.tuples(st.sampled_from([(), (60,), (62,), (60, 64)]),
                    st.sampled_from([1, 2048, 4096, 6144]), st.booleans())
 
 
-@given(st.lists(st.lists(_EVENT, max_size=5), min_size=1, max_size=6))
-def test_projection_matches_the_loop_over_events(measures):
-    doc = ScoreDoc(NotationFormat.ABC_STAFF, KeySignature.parse("C"),
-                   TimeSignature(4, 4), tuple(
-                       Measure.trusted(tuple(
-                           Event.trusted(0, ticks, pitches, tied)
-                           for pitches, ticks, tied in events))
-                       for events in measures))
+def _doc(measures) -> ScoreDoc:
+    return ScoreDoc(NotationFormat.ABC_STAFF, KeySignature.parse("C"),
+                    TimeSignature(4, 4), tuple(measures))
+
+
+@given(st.lists(st.lists(_EVENT, max_size=5), min_size=1, max_size=4),
+       st.lists(st.integers(0, 3), min_size=1, max_size=8))
+def test_projection_matches_the_loop_over_events(pool, order):
+    # Positions share measure objects, as a parser's memo makes them.
+    pool = [Measure.trusted(tuple(Event.trusted(0, ticks, pitches, tied)
+                                  for pitches, ticks, tied in events))
+            for events in pool]
+    doc = _doc(pool[i % len(pool)] for i in order)
     seq = project(doc)
     assert (seq.pitch_tokens, seq.durations) == _project_by_loop(doc)
+
+
+def test_shared_measure_with_a_tie_into_it_projects_as_its_events():
+    tied_into = Measure((Event(0, 2, (60,)), Event(2, 2, (64,), tied=True)))
+    shared = Measure((Event(0, 1, (64,)), Event(1, 3, (67,))))
+    # The tie joins the shared measure's first unit after tied_into only.
+    doc = _doc([tied_into, shared, shared, tied_into, shared])
+    seq = project(doc)
+    assert (seq.pitch_tokens, seq.durations) == _project_by_loop(doc)
+    assert seq.pitch_tokens == ((60,), (64,), (67,), (64,), (67,), (60,),
+                                (64,), (67,))
+    assert seq.durations == tuple(map(Fraction, (2, 3, 3, 1, 3, 2, 3, 3)))
 
 
 def test_tie_to_different_pitch_does_not_merge():
