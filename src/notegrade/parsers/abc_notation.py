@@ -5,6 +5,29 @@ and '/, octave marks, slash or fraction duration multipliers, z rests,
 [..] chords with a single outer multiplier, - ties, and |, ||, |] bars.
 Accidentals apply to the note they precede only; they do not persist
 through the measure.
+
+How a body is read. A line is read a measure at a time, from a line
+start or a barline to the next barline: one ``findall`` lists the
+measure's items (``_ITEM_RE``), each item costs one dictionary lookup,
+and its event is built directly. Each distinct rest, note or chord text
+is resolved once per parse, a new note text from the pitch and length
+texts it is made of, each of which is also resolved once. An error's
+column is found from the item's position only when it raises. Two
+memos, each for the length of one parse, let repeated text skip even
+that:
+
+- the measure built from each distinct text from a line start or a
+  barline to the next barline on that line is kept when the barline
+  closes it, and taken with one lookup where that text starts a measure
+  again. Only a measure that parsed cleanly is kept, so an error is
+  always located at its first occurrence; a measure that spans lines is
+  read item by item;
+- the measures each line closed are kept under the line's exact text,
+  and a repeated line is replayed with one lookup. A line is kept only
+  if it was read from a clean state, left one and raised nothing: no
+  measure pending, no ``|]`` read yet, and a measure closed (so that a
+  line opening with a barline is an empty measure on every copy but the
+  tune's first line).
 """
 
 from __future__ import annotations
@@ -41,8 +64,8 @@ _ACCIDENTALS = {"^": 1, "_": -1, "=": 0}
 # One item of a tune body, after any whitespace: a rest, note or chord
 # with its length, or any other character (a tie, a stray accidental, a
 # chord's "[" when no well-formed chord follows, ...).
-_ITEM_RE = re.compile(r"\s*((?:z|[\^_=]?[A-Ga-g][',]*|\[(?:[\^_=]?[A-Ga-g][',]*)+\])"
-                      r"[0-9]*/*[0-9]*|\S)")
+_ITEM_RE = re.compile(r"\s*((?:z|[\^_=]?[A-Ga-g][',]*"
+                      r"|\[(?:[\^_=]?[A-Ga-g][',]*)+\])[0-9]*/*[0-9]*|\S)")
 
 
 def _number(digits: str, line: int, column: int | None = None,
@@ -186,7 +209,8 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
                         # tie too.
                         if not pending or pending[-1][3]:
                             raise _error("tie must directly follow a note",
-                                         line_no, _item_start(text, i, stop, k))
+                                         line_no,
+                                         _item_start(text, i, stop, k))
                         if not pending[-1][2]:
                             raise _error("rests cannot be tied", line_no,
                                          _item_start(text, i, stop, k))

@@ -118,6 +118,7 @@ def load_ground_truth(path: str | Path) -> GroundTruth:
     """Load and parse a ground-truth file; any flaw, an unreadable file
     too, is a SchemaError that names the file."""
     try:
-        return parse_ground_truth(read_input(path, "ground truth", SchemaError))
+        return parse_ground_truth(
+            read_input(path, "ground truth", SchemaError))
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None

@@ -7,6 +7,12 @@ A maximal digit run is one fret number, its column the run's first.
 Runs sharing a start column form one chord frame. Tablature carries no
 rhythm, so frames within a measure are spaced one beat apart, and the
 key and meter default to C and 4/4.
+
+How a body is read. A segment between two barlines is keyed by its six
+string slices, and each distinct segment is built once: each string's
+distinct slices are joined and swept for fret runs in one regex pass,
+each distinct run text of a string is resolved to its pitch once, and
+the runs of all strings are grouped into frames by where they start.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, chain, compress
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -19,6 +20,7 @@ from .metrics import require_exact
 from .score import TICKS_PER_BEAT, GroundTruth, ScoreDoc
 
 DEFAULT_GRID = Fraction(1, 4)
+_EVENTS = attrgetter("events")
 
 
 class CanonicalSequence(NamedTuple):
@@ -45,20 +47,34 @@ def project(doc: ScoreDoc) -> CanonicalSequence:
 
     An event joins the unit before it when the event before it is tied
     and has the same pitches; the unit lasts as long as its events.
-    Each distinct measure object is flattened once, since the parsers'
-    memos share one among its copies: its events join within it, then
-    the streams of the measures in turn join across each barline where
-    the measure before ends tied.
+
+    A parser's memo shares one Measure object among the copies of a
+    measure. When the first 64 measures are copies of at most an eighth
+    as many distinct ones, which hold more than two events on average,
+    each distinct measure is flattened once, and the streams of the
+    measures in turn join across each barline where the measure before
+    ends tied. Otherwise the document is flattened at once, which costs
+    less than looking each measure up.
     """
-    keys = list(map(id, doc.measures))
-    pitches_of, ticks_of, tied_of = {}, {}, {}
-    for key, measure in dict(zip(keys, doc.measures)).items():
-        # A silent tab measure has no units, and leaves a tie to the next.
-        _, ticks, pitches, tied = list(zip(*measure.events)) or ((),) * 4
-        pitches_of[key], ticks_of[key] = _join(pitches, ticks, [
-            j for j in compress(range(1, len(tied)), tied)
-            if pitches[j] == pitches[j - 1]])
-        tied_of[key] = tied[-1] if tied else False
+    measures = doc.measures
+    head = measures[:64]  # a cheap look at how much the measures repeat
+    shared = dict(zip(map(id, head), head))
+    if len(head) >= 8 * len(shared) and \
+            sum(map(len, map(_EVENTS, shared.values()))) > 2 * len(shared):
+        pitches, ticks = _by_measure(measures)
+    else:
+        pitches, ticks, _ = _flatten(measures)
+    return CanonicalSequence(tuple(filter(None, pitches)), tuple(ticks))
+
+
+def _by_measure(measures) -> tuple[list, list]:
+    """The pitches and ticks of the units of ``measures``, each distinct
+    measure object flattened once."""
+    keys = list(map(id, measures))
+    flat = {key: _flatten((measure,))
+            for key, measure in dict(zip(keys, measures)).items()}
+    pitches_of, ticks_of, tied_of = (
+        {key: units[part] for key, units in flat.items()} for part in range(3))
     pitches = list(chain.from_iterable(map(pitches_of.__getitem__, keys)))
     ticks = list(chain.from_iterable(map(ticks_of.__getitem__, keys)))
     if True in tied_of.values():
@@ -67,7 +83,17 @@ def project(doc: ScoreDoc) -> CanonicalSequence:
         pitches, ticks = _join(pitches, ticks, [
             j for j in compress(ends, map(tied_of.__getitem__, keys))
             if j < len(pitches) and pitches[j] == pitches[j - 1]])
-    return CanonicalSequence(tuple(filter(None, pitches)), tuple(ticks))
+    return pitches, ticks
+
+
+def _flatten(measures) -> tuple[tuple, tuple, bool]:
+    """The pitches and ticks of the units of ``measures`` in turn, and
+    whether their last event is tied (a silent measure has none)."""
+    _, ticks, pitches, tied = \
+        list(zip(*chain.from_iterable(map(_EVENTS, measures)))) or ((),) * 4
+    return (*_join(pitches, ticks, [
+        j for j in compress(range(1, len(tied)), tied)
+        if pitches[j] == pitches[j - 1]]), bool(tied) and tied[-1])
 
 
 def _join(pitches, ticks, joined: list[int]) -> tuple[tuple, tuple]:

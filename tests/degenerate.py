@@ -12,7 +12,9 @@ seeded draw of eight eighth notes to a measure and four measures to a
 line in staff and jianpu, and four one-fret frames to a measure in tab.
 
 Run as a script to print the CPU time ``score_ast`` takes on a 1 MB
-prediction of each kind in each format (best of three runs):
+prediction of each kind in each format, and then the CPU time
+``validate_format`` (the parse alone) takes on the 1 MB non-repeating
+prediction in each format (best of three runs):
 
     PYTHONPATH=src python3 tests/degenerate.py
 """
@@ -24,7 +26,7 @@ import random
 import time
 
 from melodies import MELODIES
-from notegrade.parsers import parse_ground_truth
+from notegrade.parsers import parse_ground_truth, validate_format
 from notegrade.parsers.tab import STRING_LABELS
 from notegrade.score import NotationFormat
 from notegrade.tasks import score_ast
@@ -148,6 +150,18 @@ def best_times(fmt: str, sizes: tuple[int, ...], runs: int = 3,
                                                  prediction))]
 
 
+def best_parse_time(fmt: str, text: str, runs: int = 3) -> float:
+    """The fastest of ``runs`` CPU times ``validate_format`` takes on
+    ``text``, in seconds."""
+    times = []
+    for _ in range(runs):
+        gc.collect()
+        start = time.process_time()
+        validate_format(NotationFormat(fmt), text)
+        times.append(time.process_time() - start)
+    return min(times)
+
+
 if __name__ == "__main__":
     for prediction, formats in ((degenerate_prediction, FORMATS),
                                 (one_line_prediction, LINES),
@@ -157,3 +171,7 @@ if __name__ == "__main__":
         for fmt in formats:
             seconds = best_times(fmt, (1_000_000,), prediction=prediction)[0]
             print(f"{kind} {fmt}: {seconds:.3f} s for 1 MB")
+    for fmt in FORMATS:
+        text = nonrepeating_prediction(fmt, 1_000_000)
+        print(f"nonrepeating {fmt} validate_format: "
+              f"{best_parse_time(fmt, text):.3f} s for 1 MB")

@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from notegrade import projection
 from notegrade.errors import ConfigError
 from notegrade.parsers import parse_abc, parse_ground_truth, parse_jianpu
 from notegrade.pitch import KeySignature
@@ -65,27 +66,41 @@ def _doc(measures) -> ScoreDoc:
 
 
 @given(st.lists(st.lists(_EVENT, max_size=5), min_size=1, max_size=4),
-       st.lists(st.integers(0, 3), min_size=1, max_size=8))
-def test_projection_matches_the_loop_over_events(pool, order):
-    # Positions share measure objects, as a parser's memo makes them.
+       st.lists(st.integers(0, 3), min_size=1, max_size=8),
+       st.sampled_from([1, 8]))
+def test_projection_matches_the_loop_over_events(pool, order, copies):
+    # Positions share measure objects, as a parser's memo makes them; at
+    # eight copies of the order, project may flatten each one once.
     pool = [Measure.trusted(tuple(Event.trusted(0, ticks, pitches, tied)
                                   for pitches, ticks, tied in events))
             for events in pool]
-    doc = _doc(pool[i % len(pool)] for i in order)
+    doc = _doc(pool[i % len(pool)] for i in order * copies)
     seq = project(doc)
     assert (seq.pitch_tokens, seq.durations) == _project_by_loop(doc)
 
 
-def test_shared_measure_with_a_tie_into_it_projects_as_its_events():
-    tied_into = Measure((Event(0, 2, (60,)), Event(2, 2, (64,), tied=True)))
-    shared = Measure((Event(0, 1, (64,)), Event(1, 3, (67,))))
+def test_shared_measure_with_a_tie_into_it_projects_as_its_events(
+        monkeypatch):
+    tied_into = Measure((Event(0, 1, (60,)), Event(1, 1, (62,)),
+                         Event(2, 2, (64,), tied=True)))
+    shared = Measure((Event(0, 1, (64,)), Event(1, 1, (65,)),
+                      Event(2, 2, (67,))))
     # The tie joins the shared measure's first unit after tied_into only.
-    doc = _doc([tied_into, shared, shared, tied_into, shared])
+    doc = _doc([tied_into, shared, shared, tied_into, shared] * 4)
+    calls, by_measure = [], projection._by_measure
+
+    def spy(measures):
+        calls.append(measures)
+        return by_measure(measures)
+    monkeypatch.setattr(projection, "_by_measure", spy)
     seq = project(doc)
+    assert calls, "each distinct measure was not flattened once"
     assert (seq.pitch_tokens, seq.durations) == _project_by_loop(doc)
-    assert seq.pitch_tokens == ((60,), (64,), (67,), (64,), (67,), (60,),
-                                (64,), (67,))
-    assert seq.durations == tuple(map(Fraction, (2, 3, 3, 1, 3, 2, 3, 3)))
+    one = ((60,), (62,), (64,), (65,), (67,), (64,), (65,), (67,),
+           (60,), (62,), (64,), (65,), (67,))
+    assert seq.pitch_tokens == one * 4
+    assert seq.durations == tuple(map(Fraction, (
+        1, 1, 3, 1, 2, 1, 1, 2, 1, 1, 3, 1, 2))) * 4
 
 
 def test_tie_to_different_pitch_does_not_merge():
