@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from itertools import accumulate, chain, compress
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -21,6 +21,7 @@ from .score import TICKS_PER_BEAT, GroundTruth, ScoreDoc
 
 DEFAULT_GRID = Fraction(1, 4)
 _EVENTS = attrgetter("events")
+_TICKS, _PITCHES, _TIED = itemgetter(1), itemgetter(2), itemgetter(3)
 
 
 class CanonicalSequence(NamedTuple):
@@ -58,7 +59,7 @@ def project(doc: ScoreDoc) -> CanonicalSequence:
     """
     measures = doc.measures
     head = measures[:64]  # a cheap look at how much the measures repeat
-    shared = dict(zip(map(id, head), head))
+    shared = dict(zip(map(id, head), head)) if len(head) >= 8 else head
     if len(head) >= 8 * len(shared) and \
             sum(map(len, map(_EVENTS, shared.values()))) > 2 * len(shared):
         pitches, ticks = _by_measure(measures)
@@ -89,8 +90,12 @@ def _by_measure(measures) -> tuple[list, list]:
 def _flatten(measures) -> tuple[tuple, tuple, bool]:
     """The pitches and ticks of the units of ``measures`` in turn, and
     whether their last event is tied (a silent measure has none)."""
-    _, ticks, pitches, tied = \
-        list(zip(*chain.from_iterable(map(_EVENTS, measures)))) or ((),) * 4
+    # Columns by itemgetter: zip(*events) would make an iterator per
+    # event, and the garbage collector would keep stopping to scan them.
+    events = list(chain.from_iterable(map(_EVENTS, measures)))
+    ticks = list(map(_TICKS, events))
+    pitches = list(map(_PITCHES, events))
+    tied = list(map(_TIED, events))
     return (*_join(pitches, ticks, [
         j for j in compress(range(1, len(tied)), tied)
         if pitches[j] == pitches[j - 1]]), bool(tied) and tied[-1])

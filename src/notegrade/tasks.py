@@ -15,8 +15,8 @@ import enum
 import re
 from collections import namedtuple
 from fractions import Fraction
-from itertools import accumulate, chain, filterfalse
-from operator import add
+from itertools import chain, filterfalse, repeat
+from operator import add, attrgetter, itemgetter
 from typing import NamedTuple
 
 from .metrics import (AccuracyScore, MetricWeights, alignment_accuracy,
@@ -48,6 +48,8 @@ class Task(enum.Enum):
 
 
 _TASKS = {task.value: task for task in Task}
+_EVENTS = attrgetter("events")
+_ONSET, _DURATION, _PITCHES = itemgetter(0), itemgetter(1), itemgetter(2)
 SMG_RULE_COUNT = 5
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -267,14 +269,10 @@ def smg_rules(doc: ScoreDoc,
     """
     capacity = doc.meter.ticks
     complete = doc.measures if doc.final_barline else doc.measures[:-1]
-    distinct = dict(zip(map(id, doc.measures), doc.measures))
-    events = [measure.events for measure in distinct.values()]
-    bounds = list(accumulate(map(len, events), initial=0))
-    spans = list(map(slice, bounds, bounds[1:]))
-    onsets, durations, pitches, _ = \
-        list(zip(*chain.from_iterable(events))) or ((),) * 4
+    distinct = dict(zip(map(id, doc.measures), map(_EVENTS, doc.measures)))
+    events = list(distinct.values())
     full = dict(zip(distinct, map(capacity.__eq__, map(
-        sum, map(durations.__getitem__, spans)))))
+        sum, map(map, repeat(_DURATION), events)))))
     # The measures that do not fill the meter, unless the only one is the
     # last, open measure and it appears nowhere else.
     short = list(filterfalse(full.__getitem__, full))
@@ -286,11 +284,13 @@ def smg_rules(doc: ScoreDoc,
         key_consistent = True
     else:
         key_consistent = doc.key.tonic == declared_key.tonic
-    rests_legal = all(map(any, map(pitches.__getitem__, spans)))
+    rests_legal = all(map(any, map(map, repeat(_PITCHES), events)))
+    flat = list(chain.from_iterable(events))
     structure_ok = (
         len(complete) >= 2
         and doc.final_barline
-        and max(map(add, onsets, durations), default=0) <= capacity)
+        and max(map(add, map(_ONSET, flat), map(_DURATION, flat)),
+                default=0) <= capacity)
     return SmgRuleReport(
         renderable=True,
         measure_arith_ok=measure_arith_ok,
