@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import accumulate, chain, compress
+from itertools import chain, compress
 from operator import attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -22,6 +22,7 @@ from .score import TICKS_PER_BEAT, GroundTruth, ScoreDoc
 DEFAULT_GRID = Fraction(1, 4)
 _EVENTS = attrgetter("events")
 _TICKS, _PITCHES, _TIED = itemgetter(1), itemgetter(2), itemgetter(3)
+_PARTS = itemgetter(0), itemgetter(1), itemgetter(2)  # of a _units triple
 
 
 class CanonicalSequence(NamedTuple):
@@ -52,9 +53,9 @@ def project(doc: ScoreDoc) -> CanonicalSequence:
     A parser's memo shares one Measure object among the copies of a
     measure. When the first 64 measures are copies of at most an eighth
     as many distinct ones, which hold more than two events on average,
-    each distinct measure is flattened once, and the streams of the
-    measures in turn join across each barline where the measure before
-    ends tied. Otherwise the document is flattened at once, which costs
+    each distinct measure is joined into units once, and then, if a unit
+    is tied, the units of the measures in turn, across the barlines.
+    Otherwise the events of the document are joined at once, which costs
     less than looking each measure up.
     """
     measures = doc.measures
@@ -62,50 +63,38 @@ def project(doc: ScoreDoc) -> CanonicalSequence:
     shared = dict(zip(map(id, head), head)) if len(head) >= 8 else head
     if len(head) >= 8 * len(shared) and \
             sum(map(len, map(_EVENTS, shared.values()))) > 2 * len(shared):
-        pitches, ticks = _by_measure(measures)
+        keys = list(map(id, measures))
+        units = {key: _units(*_columns(measure.events))
+                 for key, measure in dict(zip(keys, measures)).items()}
+        per_measure = list(map(units.__getitem__, keys))
+        pitches, ticks, tied = (chain.from_iterable(map(part, per_measure))
+                                for part in _PARTS)
+        pitches, ticks = list(pitches), list(ticks)
+        if any(map(any, map(_PARTS[2], units.values()))):
+            pitches, ticks, _ = _units(pitches, ticks, list(tied))
     else:
-        pitches, ticks, _ = _flatten(measures)
+        pitches, ticks, _ = _units(
+            *_columns(chain.from_iterable(map(_EVENTS, measures))))
     return CanonicalSequence(tuple(filter(None, pitches)), tuple(ticks))
 
 
-def _by_measure(measures) -> tuple[list, list]:
-    """The pitches and ticks of the units of ``measures``, each distinct
-    measure object flattened once."""
-    keys = list(map(id, measures))
-    flat = {key: _flatten((measure,))
-            for key, measure in dict(zip(keys, measures)).items()}
-    pitches_of, ticks_of, tied_of = (
-        {key: units[part] for key, units in flat.items()} for part in range(3))
-    pitches = list(chain.from_iterable(map(pitches_of.__getitem__, keys)))
-    ticks = list(chain.from_iterable(map(ticks_of.__getitem__, keys)))
-    if True in tied_of.values():
-        # Where each measure's units end in the streams.
-        ends = accumulate(map(len, map(ticks_of.__getitem__, keys)))
-        pitches, ticks = _join(pitches, ticks, [
-            j for j in compress(ends, map(tied_of.__getitem__, keys))
-            if j < len(pitches) and pitches[j] == pitches[j - 1]])
-    return pitches, ticks
+def _columns(events) -> tuple[list, list, list]:
+    """The pitches, ticks and tie of each of ``events``. (zip(*events)
+    would make an iterator per event, and on a long document the garbage
+    collector keeps stopping to scan them.)"""
+    events = list(events)
+    return (list(map(_PITCHES, events)), list(map(_TICKS, events)),
+            list(map(_TIED, events)))
 
 
-def _flatten(measures) -> tuple[tuple, tuple, bool]:
-    """The pitches and ticks of the units of ``measures`` in turn, and
-    whether their last event is tied (a silent measure has none)."""
-    # Columns by itemgetter: zip(*events) would make an iterator per
-    # event, and the garbage collector would keep stopping to scan them.
-    events = list(chain.from_iterable(map(_EVENTS, measures)))
-    ticks = list(map(_TICKS, events))
-    pitches = list(map(_PITCHES, events))
-    tied = list(map(_TIED, events))
-    return (*_join(pitches, ticks, [
-        j for j in compress(range(1, len(tied)), tied)
-        if pitches[j] == pitches[j - 1]]), bool(tied) and tied[-1])
-
-
-def _join(pitches, ticks, joined: list[int]) -> tuple[tuple, tuple]:
-    """The pitches and ticks of units, with each unit at the ascending
-    indices ``joined`` merged into the unit before it."""
+def _units(pitches: list, ticks: list, tied: list) -> tuple[list, list, list]:
+    """The pitches, ticks and tie of each unit of these events: an event
+    joins the unit before it when the event before it is tied and has
+    the same pitches, and a unit is tied as its last event is."""
+    joined = [j for j in compress(range(1, len(tied)), tied)
+              if pitches[j] == pitches[j - 1]]
     if not joined:
-        return pitches, ticks
+        return pitches, ticks, tied
     ticks = list(ticks)
     keep = [True] * len(ticks)
     for j in joined:
@@ -115,7 +104,8 @@ def _join(pitches, ticks, joined: list[int]) -> tuple[tuple, tuple]:
         if keep[j - 1]:
             head = j - 1
         ticks[head] += ticks[j]
-    return tuple(compress(pitches, keep)), tuple(compress(ticks, keep))
+    return (list(compress(pitches, keep)), list(compress(ticks, keep)),
+            list(compress(tied, keep[1:] + [True])))
 
 
 def project_ground_truth(gt: GroundTruth) -> CanonicalSequence:

@@ -87,14 +87,15 @@ def test_shared_measure_with_a_tie_into_it_projects_as_its_events(
                       Event(2, 2, (67,))))
     # The tie joins the shared measure's first unit after tied_into only.
     doc = _doc([tied_into, shared, shared, tied_into, shared] * 4)
-    calls, by_measure = [], projection._by_measure
+    calls, units = [], projection._units
 
-    def spy(measures):
-        calls.append(measures)
-        return by_measure(measures)
-    monkeypatch.setattr(projection, "_by_measure", spy)
+    def spy(*columns):
+        calls.append(columns)
+        return units(*columns)
+    monkeypatch.setattr(projection, "_units", spy)
     seq = project(doc)
-    assert calls, "each distinct measure was not flattened once"
+    # Once for each distinct measure, then once across the barlines.
+    assert len(calls) == 3
     assert (seq.pitch_tokens, seq.durations) == _project_by_loop(doc)
     one = ((60,), (62,), (64,), (65,), (67,), (64,), (65,), (67,),
            (60,), (62,), (64,), (65,), (67,))
