@@ -6,28 +6,14 @@ and '/, octave marks, slash or fraction duration multipliers, z rests,
 Accidentals apply to the note they precede only; they do not persist
 through the measure.
 
-How a body is read. A line is read a measure at a time, from a line
-start or a barline to the next barline: one ``findall`` lists the
-measure's items (``_ITEM_RE``), each item costs one dictionary lookup,
-and its event is built directly. Each distinct rest, note or chord text
-is resolved once per parse, a new note text from the pitch and length
-texts it is made of, each of which is also resolved once. An error's
-column is found from the item's position only when it raises. Two
-memos, each for the length of one parse, let repeated text skip even
-that:
-
-- the measure built from each distinct text from a line start or a
-  barline to the next barline on that line is kept when the barline
-  closes it, and taken with one lookup where that text starts a measure
-  again. Only a measure that parsed cleanly is kept, so an error is
-  always located at its first occurrence; a measure that spans lines is
-  read item by item;
-- the measures each line closed are kept under the line's exact text,
-  and a repeated line is replayed with one lookup. A line is kept only
-  if it was read from a clean state, left one and raised nothing: no
-  measure pending, no ``|]`` read yet, and a measure closed (so that a
-  line opening with a barline is an empty measure on every copy but the
-  tune's first line).
+Reading a body: one ``findall`` lists the items of a measure (from a
+line start or barline to the next barline), and each distinct item
+text, pitch text and length text is resolved once per parse. Two memos
+per parse skip repeated text: the measure of each distinct measure
+text, kept only if it parsed cleanly (so an error is located at its
+first occurrence); and the measures of each line read from and left in
+a clean state (nothing pending, no ``|]`` yet, a measure closed, so an
+opening barline is an empty measure on every copy but the first line).
 """
 
 from __future__ import annotations
@@ -163,19 +149,13 @@ def _error(message: str, line_no: int, i: int) -> ParseError:
 
 def _parse_body(body: list[tuple[int, str]], key_name: str,
                 unit: Fraction) -> tuple[tuple[Measure, ...], bool]:
-    """The measures of a tune body, and whether it ends on a barline.
-
-    A line is read a measure at a time, from a line start or a barline
-    to the next barline: one ``findall`` finds the measure's items, and
-    each item text is resolved once (see the module docstring for the
-    memos).
-    """
+    """The measures of a tune body, and whether it ends on a barline."""
     key_shift = key_signature_accidentals(key_name)
     unit_beats = (unit.numerator * 4, unit.denominator)
     # The ticks and pitches of each distinct rest, note or chord text,
-    # and the parts they are made of.
+    # and of the pitch and length texts they are made of.
     sounds: dict[str, tuple[int, tuple[int, ...]]] = {}
-    parts = ({}, {})  # the MIDI number of a pitch text, the ticks of a length
+    parts: dict[str, tuple[int, ...] | int] = {}
     measure_of: dict[str, Measure] = {}
     line_of: dict[str, tuple[Measure, ...]] = {}
     measures: list[Measure] = []
@@ -262,11 +242,11 @@ def _item_start(text: str, i: int, stop: int, k: int) -> int:
 
 def _resolve(item: str, line_no: int, key_shift: dict[str, int],
              unit_beats: tuple[int, int],
-             parts: tuple[dict, dict]) -> tuple[int, tuple[int, ...]]:
+             parts: dict) -> tuple[int, tuple[int, ...]]:
     """The ticks and pitches of the rest, note or chord ``item``, or the
     ParseError it makes, located as if the item began its line. ``parts``
-    holds the MIDI number of each pitch text and the ticks of each length
-    text resolved so far."""
+    holds the pitches of each pitch text and the ticks of each length
+    text met so far."""
     if item[0] == "[":
         pitches, ticks, _ = _scan_chord(item, 0, line_no, key_shift,
                                         unit_beats)
@@ -276,16 +256,15 @@ def _resolve(item: str, line_no: int, key_shift: dict[str, int],
                      line_no, 0)
     if len(item) == 1 and item not in "zABCDEFGabcdefg":
         raise _error(f"unexpected character {item!r}", line_no, 0)
-    midi_of, ticks_of = parts
     pitch = item.rstrip("0123456789/")  # the length is digits and slashes
     length = item[len(pitch):]
-    if pitch != "z" and pitch not in midi_of:
-        midi_of[pitch] = _pitch(*_PITCH_RE.fullmatch(pitch).groups(),
-                                key_shift, line_no, 0)
-    if length not in ticks_of:
-        ticks_of[length] = _ticks(*_LENGTH_RE.fullmatch(length).groups(),
-                                  line_no, len(pitch), 1, unit_beats)
-    return ticks_of[length], () if pitch == "z" else (midi_of[pitch],)
+    if pitch not in parts:
+        parts[pitch] = () if pitch == "z" else (_pitch(
+            *_PITCH_RE.fullmatch(pitch).groups(), key_shift, line_no, 0),)
+    if length not in parts:
+        parts[length] = _ticks(*_LENGTH_RE.fullmatch(length).groups(),
+                               line_no, len(pitch), 1, unit_beats)
+    return parts[length], parts[pitch]
 
 
 def _scan_chord(text: str, i: int, line_no: int, key_shift: dict[str, int],

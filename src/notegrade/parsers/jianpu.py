@@ -14,26 +14,13 @@ A dash is modeled as a tied one-beat event in the measure where it
 appears, so a note held across a barline contributes its beats to each
 measure it spans.
 
-How a body is read. A line is split at its barline words in one regex
-call, and the text of each measure into words with one ``str.split``.
-Each word costs one dictionary lookup, its distinct text having been
-resolved to a duration and pitches once per parse, and its event is
-built directly; an error's column is found from the word's position
-only when it raises. Two memos, each for the length of one parse, let
-repeated text skip even that:
-
-- the measure built from each distinct measure text (the text between
-  two barlines of one line, stripped of surrounding spaces) is kept
-  where that text starts a measure, and taken with one lookup wherever
-  it does so again. Only a measure that parsed cleanly is kept, so an
-  error is always located at its first occurrence. A measure that spans
-  lines, or that a dash opens (the dash holds the note before the
-  barline), is read word by word;
-- the measures each line closed are kept under the line's exact text,
-  and a repeated line is replayed with one lookup. A line is kept only
-  if it was read from a clean state, left one and raised nothing: a
-  barline already seen, no measure pending, and a first word that is
-  not a dash (which rebuilds the measure before).
+Reading a body: a line splits at its barline words in one regex call,
+a measure into words with ``str.split``, and each distinct word is
+resolved once per parse. Two memos per parse skip repeated text: the
+measure of each distinct measure text (stripped), kept only if it
+parsed cleanly and no dash opened it (so an error is located at its
+first occurrence); and the measures of each line read from and left in
+a clean state (a barline seen, nothing pending, no opening dash).
 """
 
 from __future__ import annotations

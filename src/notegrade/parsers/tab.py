@@ -8,11 +8,8 @@ Runs sharing a start column form one chord frame. Tablature carries no
 rhythm, so frames within a measure are spaced one beat apart, and the
 key and meter default to C and 4/4.
 
-How a body is read. A segment between two barlines is keyed by its six
-string slices, and each distinct segment is built once: each string's
-distinct slices are joined and swept for fret runs in one regex pass,
-each distinct run text of a string is resolved to its pitch once, and
-the runs of all strings are grouped into frames by where they start.
+Reading a body: each distinct segment (six slices between barlines) is
+built once, from one sweep per string over its distinct slices.
 """
 
 from __future__ import annotations
@@ -86,21 +83,19 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
             line=non_blank[0][0], column=min(stray) + 3,
             rule_id="tab.bar_alignment")
 
-    # A segment between barlines is keyed by its six slices, and no fret
-    # run crosses a barline: each string's distinct slices are joined by
-    # barlines and swept once, each distinct run text is checked and
-    # resolved once, and an error is located at its first run only when
-    # there is one, so every measure below parses cleanly. Fret errors
+    # Each segment as the index of its first copy, keyed by its six
+    # slices joined (a string hashes faster than a tuple). No fret run
+    # crosses a barline: each string's distinct slices are joined and
+    # swept once, each distinct run text is checked and resolved once, and
+    # an error located at its first run only when there is one. Fret errors
     # come first, in string order; then the leftmost pitch error.
     slices = [body.split("|") for body in bodies]
-    # Each segment as the index of its first copy (keyed by its six
-    # slices joined), and the first copies in turn.
     first_of: dict[str, int] = {}
     segments = list(map(first_of.setdefault, map("|".join, zip(*slices)),
                         count()))
     distinct = list(first_of.values())
-    # The MIDI numbers of the runs that start at each index of the joined
-    # slices, on any string: a frame.
+    # A frame: the pitches of the runs that start at one index of the
+    # joined slices, on any string.
     frames: dict[int, set[int]] = {}
     pitch_errors: list[tuple[int, int, str]] = []  # column, string, message
     for string, ((line_no, _), body, pieces, open_midi) in enumerate(
@@ -139,10 +134,9 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
     if not frames:
         raise ParseError("tablature contains no notes", rule_id="tab.parse")
 
-    # Each distinct segment is a measure of its frames, a beat apart.
-    # Segment k of the joined slices ends before ends[k].
-    ends = list(accumulate(map((1).__add__, map(len, map(
-        slices[0].__getitem__, distinct)))))
+    # Each distinct segment is a measure of its frames, a beat apart;
+    # segment k of the joined slices ends before ends[k].
+    ends = list(accumulate(len(slices[0][i]) + 1 for i in distinct))
     events: list[list[Event]] = [[] for _ in ends]
     k = 0
     for index in sorted(frames):

@@ -50,13 +50,11 @@ def project(doc: ScoreDoc) -> CanonicalSequence:
     An event joins the unit before it when the event before it is tied
     and has the same pitches; the unit lasts as long as its events.
 
-    A parser's memo shares one Measure object among the copies of a
-    measure. When the first 64 measures are copies of at most an eighth
-    as many distinct ones, which hold more than two events on average,
-    each distinct measure is joined into units once, and then, if a unit
-    is tied, the units of the measures in turn, across the barlines.
-    Otherwise the events of the document are joined at once, which costs
-    less than looking each measure up.
+    Where the first 64 measures are copies (shared by a parser's memo)
+    of an eighth as many measures of more than two events on average,
+    each distinct measure is joined once, then, if a unit is tied, the
+    units across the barlines; otherwise looking each measure up costs
+    more than it saves, and the document's events are joined at once.
     """
     measures = doc.measures
     head = measures[:64]  # a cheap look at how much the measures repeat
@@ -67,11 +65,12 @@ def project(doc: ScoreDoc) -> CanonicalSequence:
         units = {key: _units(*_columns(measure.events))
                  for key, measure in dict(zip(keys, measures)).items()}
         per_measure = list(map(units.__getitem__, keys))
-        pitches, ticks, tied = (chain.from_iterable(map(part, per_measure))
-                                for part in _PARTS)
-        pitches, ticks = list(pitches), list(ticks)
+        pitches, ticks = ([*chain.from_iterable(map(part, per_measure))]
+                          for part in _PARTS[:2])
+        # A unit tied at the end of a measure may join across the barline.
         if any(map(any, map(_PARTS[2], units.values()))):
-            pitches, ticks, _ = _units(pitches, ticks, list(tied))
+            pitches, ticks, _ = _units(pitches, ticks, [
+                *chain.from_iterable(map(_PARTS[2], per_measure))])
     else:
         pitches, ticks, _ = _units(
             *_columns(chain.from_iterable(map(_EVENTS, measures))))

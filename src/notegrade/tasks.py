@@ -261,12 +261,9 @@ def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
 
 def smg_rules(doc: ScoreDoc,
               declared_key: KeySignature | None) -> SmgRuleReport:
-    """Evaluate the five generation rules on a parsed piece.
-
-    Each distinct measure object is checked once, in flat passes over
-    the events of all of them: the parsers' memos share one among its
-    copies. Nothing assumes that onsets are running sums.
-    """
+    """Evaluate the five generation rules on a parsed piece, checking each
+    distinct measure object (a parser's memo shares one among copies)
+    once; nothing assumes that onsets are running sums."""
     capacity = doc.meter.ticks
     complete = doc.measures if doc.final_barline else doc.measures[:-1]
     distinct = dict(zip(map(id, doc.measures), map(_EVENTS, doc.measures)))
