@@ -15,7 +15,7 @@ import enum
 import re
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, filterfalse, repeat
+from itertools import chain, repeat
 from operator import add, attrgetter, itemgetter
 from typing import NamedTuple
 
@@ -270,13 +270,7 @@ def smg_rules(doc: ScoreDoc,
     events = list(distinct.values())
     full = dict(zip(distinct, map(capacity.__eq__, map(
         sum, map(map, repeat(_DURATION), events)))))
-    # The measures that do not fill the meter, unless the only one is the
-    # last, open measure and it appears nowhere else.
-    short = list(filterfalse(full.__getitem__, full))
-    last = id(doc.measures[-1])
-    measure_arith_ok = not short or (
-        short == [last] and not doc.final_barline
-        and last not in map(id, complete))
+    measure_arith_ok = all(map(full.__getitem__, map(id, complete)))
     if doc.format is NotationFormat.ASCII_TAB or declared_key is None:
         key_consistent = True
     else:
