@@ -21,8 +21,7 @@ from .score import TICKS_PER_BEAT, GroundTruth, ScoreDoc
 
 DEFAULT_GRID = Fraction(1, 4)
 _EVENTS = attrgetter("events")
-_TICKS, _PITCHES, _TIED = itemgetter(1), itemgetter(2), itemgetter(3)
-_PARTS = itemgetter(0), itemgetter(1), itemgetter(2)  # of a _units triple
+_COLUMNS = itemgetter(1), itemgetter(2), itemgetter(3)  # ticks, pitches, tie
 
 
 class CanonicalSequence(NamedTuple):
@@ -49,62 +48,25 @@ def project(doc: ScoreDoc) -> CanonicalSequence:
 
     An event joins the unit before it when the event before it is tied
     and has the same pitches; the unit lasts as long as its events.
-
-    Where the first 64 measures are copies (shared by a parser's memo)
-    of an eighth as many measures of more than two events on average,
-    each distinct measure is joined once, then, if a unit is tied, the
-    units across the barlines; otherwise looking each measure up costs
-    more than it saves, and the document's events are joined at once.
     """
-    measures = doc.measures
-    head = measures[:64]  # a cheap look at how much the measures repeat
-    shared = dict(zip(map(id, head), head)) if len(head) >= 8 else head
-    if len(head) >= 8 * len(shared) and \
-            sum(map(len, map(_EVENTS, shared.values()))) > 2 * len(shared):
-        keys = list(map(id, measures))
-        units = {key: _units(*_columns(measure.events))
-                 for key, measure in dict(zip(keys, measures)).items()}
-        per_measure = list(map(units.__getitem__, keys))
-        pitches, ticks = ([*chain.from_iterable(map(part, per_measure))]
-                          for part in _PARTS[:2])
-        # A unit tied at the end of a measure may join across the barline.
-        if any(map(any, map(_PARTS[2], units.values()))):
-            pitches, ticks, _ = _units(pitches, ticks, [
-                *chain.from_iterable(map(_PARTS[2], per_measure))])
-    else:
-        pitches, ticks, _ = _units(
-            *_columns(chain.from_iterable(map(_EVENTS, measures))))
-    return CanonicalSequence(tuple(filter(None, pitches)), tuple(ticks))
-
-
-def _columns(events) -> tuple[list, list, list]:
-    """The pitches, ticks and tie of each of ``events``. (zip(*events)
-    would make an iterator per event, and on a long document the garbage
-    collector keeps stopping to scan them.)"""
-    events = list(events)
-    return (list(map(_PITCHES, events)), list(map(_TICKS, events)),
-            list(map(_TIED, events)))
-
-
-def _units(pitches: list, ticks: list, tied: list) -> tuple[list, list, list]:
-    """The pitches, ticks and tie of each unit of these events: an event
-    joins the unit before it when the event before it is tied and has
-    the same pitches, and a unit is tied as its last event is."""
+    events = list(chain.from_iterable(map(_EVENTS, doc.measures)))
+    # Not zip(*events): that makes an iterator per event, and on a long
+    # document the garbage collector keeps stopping to scan them.
+    ticks, pitches, tied = (list(map(column, events)) for column in _COLUMNS)
     joined = [j for j in compress(range(1, len(tied)), tied)
               if pitches[j] == pitches[j - 1]]
-    if not joined:
-        return pitches, ticks, tied
-    ticks = list(ticks)
-    keep = [True] * len(ticks)
-    for j in joined:
-        keep[j] = False
-    head = 0
-    for j in joined:  # ascending, so each unit's head is seen first
-        if keep[j - 1]:
-            head = j - 1
-        ticks[head] += ticks[j]
-    return (list(compress(pitches, keep)), list(compress(ticks, keep)),
-            list(compress(tied, keep[1:] + [True])))
+    if joined:
+        keep = [True] * len(ticks)
+        for j in joined:
+            keep[j] = False
+        head = 0
+        for j in joined:  # ascending, so each unit's head is seen first
+            if keep[j - 1]:
+                head = j - 1
+            ticks[head] += ticks[j]
+        pitches = compress(pitches, keep)
+        ticks = compress(ticks, keep)
+    return CanonicalSequence(tuple(filter(None, pitches)), tuple(ticks))
 
 
 def project_ground_truth(gt: GroundTruth) -> CanonicalSequence:
