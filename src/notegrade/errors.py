@@ -81,7 +81,9 @@ def read_input(path: str | os.PathLike, what: str = "",
     except (OSError, UnicodeDecodeError) as exc:
         if error is None:
             raise
-        raise error(f"cannot read {what}: {exc}") from None
+        # ``what`` names the file; an OSError's text would name it again.
+        raise error(f"cannot read {what}: "
+                    f"{getattr(exc, 'strerror', None) or exc}") from None
 
 
 def json_object(value: object, what: str, error: type[NotegradeError], *,

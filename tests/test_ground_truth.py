@@ -112,6 +112,14 @@ def test_missing_file_is_schema_error(tmp_path):
         load_ground_truth(tmp_path / "nope.json")
 
 
+def test_missing_file_is_named_once(tmp_path):
+    path = tmp_path / "nope.json"
+    with pytest.raises(SchemaError) as info:
+        load_ground_truth(path)
+    assert str(info.value) == (
+        f"{path}: cannot read ground truth: No such file or directory")
+
+
 def test_load_from_file(tmp_path):
     path = tmp_path / "gt.json"
     path.write_text(json.dumps(_doc()), encoding="utf-8")
