@@ -6,14 +6,11 @@ and '/, octave marks, slash or fraction duration multipliers, z rests,
 Accidentals apply to the note they precede only; they do not persist
 through the measure.
 
-Reading a body: one ``findall`` lists the items of a measure (from a
-line start or barline to the next barline), and each distinct item
-text, pitch text and length text is resolved once per parse. Two memos
-per parse skip repeated text: the measure of each distinct measure
-text, kept only if it parsed cleanly (so an error is located at its
-first occurrence); and the measures of each line read from and left in
-a clean state (nothing pending, no ``|]`` yet, a measure closed, so an
-opening barline is an empty measure on every copy but the first line).
+Reading a body: one ``findall`` lists a measure's items, and each
+distinct item, pitch and length text is resolved once per parse. Two
+memos skip repeated text: each distinct measure text that parsed
+cleanly, and each line read from and left in a clean state (nothing
+pending, no ``|]``, a measure closed, so "|" opens no empty measure).
 """
 
 from __future__ import annotations
@@ -243,14 +240,10 @@ def _item_start(text: str, i: int, stop: int, k: int) -> int:
 def _resolve(item: str, line_no: int, key_shift: dict[str, int],
              unit_beats: tuple[int, int],
              parts: dict) -> tuple[int, tuple[int, ...]]:
-    """The ticks and pitches of the rest, note or chord ``item``, or the
-    ParseError it makes, located as if the item began its line. ``parts``
-    holds the pitches of each pitch text and the ticks of each length
-    text met so far."""
+    """The ticks and pitches of the rest, note or chord ``item``, located
+    as if it began its line; ``parts`` memoizes pitch and length texts."""
     if item[0] == "[":
-        pitches, ticks, _ = _scan_chord(item, 0, line_no, key_shift,
-                                        unit_beats)
-        return ticks, pitches
+        return _scan_chord(item, 0, line_no, key_shift, unit_beats)
     if item in _ACCIDENTALS:
         raise _error("accidental must be followed by a note letter",
                      line_no, 0)
@@ -268,8 +261,8 @@ def _resolve(item: str, line_no: int, key_shift: dict[str, int],
 
 
 def _scan_chord(text: str, i: int, line_no: int, key_shift: dict[str, int],
-                unit_beats: tuple[int, int]) -> tuple[tuple[int, ...], int, int]:
-    """The pitches and ticks of the chord at ``i``, and the index after it."""
+                unit_beats: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
+    """The ticks and pitches of the chord at ``i``."""
     chord, end = [], i + 1
     while True:
         if end >= len(text):
@@ -291,9 +284,8 @@ def _scan_chord(text: str, i: int, line_no: int, key_shift: dict[str, int],
         end = match.end()
     if not chord:
         raise _error("empty chord", line_no, i)
-    length = _LENGTH_RE.match(text, end)
-    ticks = _ticks(*length.groups(), line_no, end, i + 1, unit_beats)
-    return tuple(sort_chord(chord)), ticks, length.end()
+    return (_ticks(*_LENGTH_RE.match(text, end).groups(), line_no, end,
+                   i + 1, unit_beats), tuple(sort_chord(chord)))
 
 
 def _pitch(accidental: str, letter: str, marks: str,

@@ -14,13 +14,12 @@ A dash is modeled as a tied one-beat event in the measure where it
 appears, so a note held across a barline contributes its beats to each
 measure it spans.
 
-Reading a body: a line splits at its barline words in one regex call,
-a measure into words with ``str.split``, and each distinct word is
-resolved once per parse. Two memos per parse skip repeated text: the
-measure of each distinct measure text (stripped), kept only if it
-parsed cleanly and no dash opened it (so an error is located at its
-first occurrence); and the measures of each line read from and left in
-a clean state (a barline seen, nothing pending, no opening dash).
+Reading a body: a line splits at its barlines in one regex call, a
+measure into words with ``str.split``, and each distinct word is
+resolved once per parse. Two memos skip repeated text: each distinct
+measure text that parsed cleanly and no dash opened, and each line read
+from and left in a clean state (a barline seen, nothing pending, no
+opening dash).
 """
 
 from __future__ import annotations

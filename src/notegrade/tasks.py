@@ -261,9 +261,8 @@ def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
 
 def smg_rules(doc: ScoreDoc,
               declared_key: KeySignature | None) -> SmgRuleReport:
-    """Evaluate the five generation rules on a parsed piece, checking each
-    distinct measure object (a parser's memo shares one among copies)
-    once; nothing assumes that onsets are running sums."""
+    """Evaluate the five generation rules on a parsed piece, each distinct
+    measure object (a parser's memo shares one among copies) once."""
     capacity = doc.meter.ticks
     complete = doc.measures if doc.final_barline else doc.measures[:-1]
     distinct = dict(zip(map(id, doc.measures), map(_EVENTS, doc.measures)))
