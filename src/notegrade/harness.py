@@ -20,10 +20,10 @@ from typing import NamedTuple
 
 from .errors import (ConfigError, ParseError, PitchError, SchemaError,
                      json_object, read_input)
-from .metrics import MetricWeights, require_exact
+from .metrics import MetricWeights
 from .parsers import load_ground_truth
 from .pitch import STANDARD_TUNING, KeySignature, Tuning
-from .projection import DEFAULT_GRID, beats_text
+from .projection import DEFAULT_GRID, beats_text, check_grid
 from .score import GroundTruth, NotationFormat, TimeSignature
 from .tasks import (
     CapabilityWeights,
@@ -53,9 +53,7 @@ class EvalConfig(namedtuple("EvalConfig", "weights task_weights grid tuning "
                 grid: Fraction = DEFAULT_GRID,
                 tuning: Tuning = STANDARD_TUNING, cnc_lenient: bool = False,
                 ast_length_cap: int | None = None) -> "EvalConfig":
-        require_exact("grid", grid)
-        if grid <= 0:
-            raise ConfigError(f"grid must be positive, got {grid}")
+        check_grid(grid)
         if not isinstance(cnc_lenient, bool):
             raise ConfigError("cnc_lenient must be a boolean")
         cap = ast_length_cap
@@ -98,6 +96,15 @@ def _require_str(obj: dict, key: str, line: int) -> str:
     return value
 
 
+def _require_path(obj: dict, key: str, line: int, join) -> Path:
+    """``obj[key]`` joined by ``join``; no file name holds a NUL."""
+    value = _require_str(obj, key, line)
+    if "\0" in value:
+        raise SchemaError(
+            f"manifest line {line}: {key!r} must not contain a NUL character")
+    return join(value)
+
+
 def _record(raw: str, line: int, join, parse_key, parse_meter) -> SampleRecord:
     obj = json_object(raw, f"manifest line {line}", SchemaError, decode=True,
                       known=_RECORD_KEYS)
@@ -107,11 +114,11 @@ def _record(raw: str, line: int, join, parse_key, parse_meter) -> SampleRecord:
         fmt = NotationFormat.parse(_require_str(obj, "format", line))
     except (ConfigError, ParseError) as exc:
         raise SchemaError(f"manifest line {line}: {exc}") from None
-    pred_path = join(_require_str(obj, "pred_path", line))
+    pred_path = _require_path(obj, "pred_path", line, join)
 
     gt_path = None
     if task in (Task.CNC, Task.AST):
-        gt_path = join(_require_str(obj, "gt_path", line))
+        gt_path = _require_path(obj, "gt_path", line, join)
     elif "gt_path" in obj:
         raise SchemaError(
             f"manifest line {line}: gt_path only applies to cnc and ast")

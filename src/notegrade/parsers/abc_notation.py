@@ -6,11 +6,11 @@ and '/, octave marks, slash or fraction duration multipliers, z rests,
 Accidentals apply to the note they precede only; they do not persist
 through the measure.
 
-Reading a body: one ``findall`` lists a measure's items, and each
-distinct item, pitch and length text is resolved once per parse. Two
-memos skip repeated text: each distinct measure text that parsed
-cleanly, and each line read from and left in a clean state (nothing
-pending, no ``|]``, a measure closed, so "|" opens no empty measure).
+Reading a body: one ``findall`` lists a line's items, barlines
+included, and each distinct item, pitch and length text is resolved
+once per parse. One memo skips repeated text: each line read from and
+left in a clean state (a measure closed before it, so "|" opens no
+empty measure, and nothing pending after it).
 """
 
 from __future__ import annotations
@@ -44,10 +44,10 @@ _UNIT_RE = re.compile(r"([0-9]+)/([0-9]+)")
 _PITCH_RE = re.compile(r"([\^_=]?)([A-Ga-g])([',]*)")
 _LENGTH_RE = re.compile(r"([0-9]*)(/*)([0-9]*)")
 _ACCIDENTALS = {"^": 1, "_": -1, "=": 0}
-# One item of a tune body, after any whitespace: a rest, note or chord
-# with its length, or any other character (a tie, a stray accidental, a
-# chord's "[" when no well-formed chord follows, ...).
-_ITEM_RE = re.compile(r"\s*((?:z|[\^_=]?[A-Ga-g][',]*"
+# One item of a tune body, after any whitespace: a barline, a rest, note
+# or chord with its length, or any other character (a tie, a stray
+# accidental, a chord's "[" when no well-formed chord follows, ...).
+_ITEM_RE = re.compile(r"\s*(\|[|\]]?|(?:z|[\^_=]?[A-Ga-g][',]*"
                       r"|\[(?:[\^_=]?[A-Ga-g][',]*)+\])[0-9]*/*[0-9]*|\S)")
 
 
@@ -153,75 +153,63 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
     # and of the pitch and length texts they are made of.
     sounds: dict[str, tuple[int, tuple[int, ...]]] = {}
     parts: dict[str, tuple[int, ...] | int] = {}
-    measure_of: dict[str, Measure] = {}
     line_of: dict[str, tuple[Measure, ...]] = {}
     measures: list[Measure] = []
     pending: list[Event] = []
     onset = 0
-    finished = False
     new = tuple.__new__
-    for line_no, text in body:
+    lines = iter(body)
+    for line_no, text in lines:
         first = len(measures)
-        clean = first and not pending and not finished
+        clean = first and not pending
         if clean and text in line_of:
             measures += line_of[text]
             continue
-        i = 0
-        while True:
-            end = text.find("|", i)
-            stop = end if end >= 0 else len(text)
-            key = text[i:end] if not pending and not finished and end >= 0 \
-                else None
-            memo = measure_of.get(key)
-            items = () if memo is not None else \
-                _ITEM_RE.findall(text, i, stop)
-            if items and finished:
-                raise _error("content after final barline", line_no,
-                             _item_start(text, i, stop, 0))
-            for k, item in enumerate(items):
-                sound = sounds.get(item)
-                if sound is None:
-                    if item == "-":
-                        # A tied last event means the item before was a
-                        # tie too.
-                        if not pending or pending[-1][3]:
-                            raise _error("tie must directly follow a note",
-                                         line_no,
-                                         _item_start(text, i, stop, k))
-                        if not pending[-1][2]:
-                            raise _error("rests cannot be tied", line_no,
-                                         _item_start(text, i, stop, k))
-                        pending[-1] = new(Event, (*pending[-1][:3], True))
-                        continue
-                    try:
-                        sound = sounds[item] = _resolve(
-                            item, line_no, key_shift, unit_beats, parts)
-                    except ParseError as exc:
-                        at = _item_start(text, i, stop, k)
-                        if item == "[":  # no well-formed chord: find why
-                            _scan_chord(text, at, line_no, key_shift,
-                                        unit_beats)
-                        exc.column += at
-                        raise
-                ticks, pitches = sound
-                pending.append(new(Event, (onset, ticks, pitches, False)))
-                onset += ticks
-            if end < 0:
-                break
-            if finished:
-                raise _error("content after final barline", line_no, end)
-            if memo is None and pending:
-                memo = Measure.trusted(tuple(pending))
-                if key is not None:
-                    measure_of[key] = memo
-            if memo is not None:
-                measures.append(memo)
-            elif measures:
-                raise _error("empty measure", line_no, end)
-            pending, onset = [], 0
-            bar = text[end:end + 2]
-            finished = bar == "|]"
-            i = end + (2 if bar in ("|]", "||") else 1)
+        items = _ITEM_RE.findall(text)
+        for k, item in enumerate(items):
+            sound = sounds.get(item)
+            if sound is None:
+                if item[0] == "|":
+                    if pending:
+                        measures.append(Measure.trusted(tuple(pending)))
+                        pending, onset = [], 0
+                    elif measures:
+                        raise _error("empty measure", line_no,
+                                     _item_start(text, k))
+                    if item == "|]":
+                        # The tune ends: only blank text may follow. Reading
+                        # the rest of ``lines`` ends the outer loop too.
+                        if k + 1 < len(items):
+                            raise _error("content after final barline",
+                                         line_no, _item_start(text, k + 1))
+                        for after_no, after in lines:
+                            found = _ITEM_RE.match(after)
+                            if found:
+                                raise _error("content after final barline",
+                                             after_no, found.start(1))
+                    continue
+                if item == "-":
+                    # A tied last event means the item before was a tie too.
+                    if not pending or pending[-1][3]:
+                        raise _error("tie must directly follow a note",
+                                     line_no, _item_start(text, k))
+                    if not pending[-1][2]:
+                        raise _error("rests cannot be tied", line_no,
+                                     _item_start(text, k))
+                    pending[-1] = new(Event, (*pending[-1][:3], True))
+                    continue
+                try:
+                    sound = sounds[item] = _resolve(
+                        item, line_no, key_shift, unit_beats, parts)
+                except ParseError as exc:
+                    at = _item_start(text, k)
+                    if item == "[":  # no well-formed chord: find why
+                        _scan_chord(text, at, line_no, key_shift, unit_beats)
+                    exc.column += at
+                    raise
+            ticks, pitches = sound
+            pending.append(new(Event, (onset, ticks, pitches, False)))
+            onset += ticks
         if clean and not pending:
             line_of[text] = tuple(measures[first:])
     if pending:
@@ -232,9 +220,9 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
     return tuple(measures), not pending
 
 
-def _item_start(text: str, i: int, stop: int, k: int) -> int:
-    """The index in ``text`` of item ``k`` of ``text[i:stop]``."""
-    return next(islice(_ITEM_RE.finditer(text, i, stop), k, None)).start(1)
+def _item_start(text: str, k: int) -> int:
+    """The index in ``text`` of its item ``k``."""
+    return next(islice(_ITEM_RE.finditer(text), k, None)).start(1)
 
 
 def _resolve(item: str, line_no: int, key_shift: dict[str, int],

@@ -14,12 +14,10 @@ A dash is modeled as a tied one-beat event in the measure where it
 appears, so a note held across a barline contributes its beats to each
 measure it spans.
 
-Reading a body: a line splits at its barlines in one regex call, a
-measure into words with ``str.split``, and each distinct word is
-resolved once per parse. Two memos skip repeated text: each distinct
-measure text that parsed cleanly and no dash opened, and each line read
-from and left in a clean state (a barline seen, nothing pending, no
-opening dash).
+Reading a body: a line splits into words with one ``str.split``, a
+``|`` word closing a measure, and each distinct word is resolved once
+per parse. One memo skips repeated text: each line read from and left
+in a clean state (a barline seen, nothing pending, no opening dash).
 """
 
 from __future__ import annotations
@@ -36,7 +34,6 @@ from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat, ScoreDoc,
 _DIRECTIVE_RE = re.compile(r"1=([A-G][#b]?)(?:\s+([0-9]+/[0-9]+))?")
 _TOKEN_RE = re.compile(r"^([0-7])('+|,+)?(_+)?$")
 _WORD_RE = re.compile(r"\S+")
-_BAR_RE = re.compile(r"\|(?!\S)(?<!\S\|)")  # a "|" word
 
 
 def parse_key_directive(line: str,
@@ -86,14 +83,9 @@ def _resolve_token(token: str,
         raise ParseError(str(exc), rule_id="jianpu.pitch_range") from None
 
 
-def _column(parts: list[str], k: int, word: int | None = None) -> int:
-    """The 1-based column, in the line split at barlines into ``parts``,
-    of the barline after ``parts[k]``, or of its word number ``word``."""
-    column = sum(map(len, parts[:k + 1])) + k + 1
-    if word is None:
-        return column
-    found = next(islice(_WORD_RE.finditer(parts[k]), word, None))
-    return column - len(parts[k]) + found.start()
+def _column(line: str, n: int) -> int:
+    """The 1-based column of word ``n`` of ``line``."""
+    return next(islice(_WORD_RE.finditer(line), n, None)).start() + 1
 
 
 def parse_jianpu(text: str,
@@ -128,9 +120,8 @@ def parse_jianpu(text: str,
     bar_seen = False
     # The duration in ticks and the pitches of each distinct note or rest.
     resolved: dict[str, tuple[int, tuple[int, ...]]] = {}
-    # The measure built from each distinct measure text (see the module
-    # docstring), and the measures each kept line closed.
-    measure_of: dict[str, Measure] = {}
+    # The measures each line read from a clean state closed (see the
+    # module docstring).
     line_of: dict[str, tuple[Measure, ...]] = {}
     new = tuple.__new__
     for line_no, line in lines[directive_idx + 1:]:
@@ -139,54 +130,43 @@ def parse_jianpu(text: str,
             closed += line_of[line]
             continue
         first = len(closed)
-        parts = _BAR_RE.split(line)
-        bars = len(parts) - 1
-        for k, part in enumerate(parts):
-            written = part.strip()
-            kept = not pending and not written.startswith("-")
-            if kept and k < bars and written in measure_of:
-                closed.append(measure_of[written])
+        for n, word in enumerate(line.split()):
+            sound = resolved.get(word)
+            if sound is None and word == "|":
+                if pending:
+                    closed.append(Measure.trusted(tuple(pending)))
+                    pending, onset = [], 0
+                elif bar_seen:
+                    raise ParseError("empty measure", line=line_no,
+                                     column=_column(line, n),
+                                     rule_id="jianpu.measure_bars")
+                bar_seen = True
                 continue
-            for n, word in enumerate(written.split()):
-                sound = resolved.get(word)
-                if sound is None and word == "-":
-                    # Hold the event before one beat more, across a barline
-                    # too; a closed measure is rebuilt, never changed, as
-                    # it may be shared.
-                    if pending:
-                        last = new(Event, (*pending[-1][:3], True))
-                        pending[-1] = last
-                    elif closed:
-                        *held, last = closed[-1].events
-                        last = new(Event, (*last[:3], True))
-                        closed[-1] = Measure.trusted((*held, last))
-                    else:
-                        raise ParseError(
-                            "dash has no note to continue", line=line_no,
-                            column=_column(parts, k, n),
-                            rule_id="jianpu.parse")
-                    sound = (TICKS_PER_BEAT, last[2])
-                elif sound is None:
-                    try:
-                        sound = resolved[word] = _resolve_token(word, key)
-                    except ParseError as exc:
-                        exc.line, exc.column = line_no, _column(parts, k, n)
-                        raise
-                duration, pitches = sound
-                pending.append(new(Event, (onset, duration, pitches, False)))
-                onset += duration
-            if k == bars:
-                break
-            if pending:
-                closed.append(Measure.trusted(tuple(pending)))
-                if kept:
-                    measure_of[written] = closed[-1]
-                pending, onset = [], 0
-            elif bar_seen:
-                raise ParseError("empty measure", line=line_no,
-                                 column=_column(parts, k),
-                                 rule_id="jianpu.measure_bars")
-            bar_seen = True
+            if sound is None and word == "-":
+                # Hold the event before one beat more, across a barline
+                # too; a closed measure is rebuilt, never changed, as it
+                # may be shared.
+                if pending:
+                    last = new(Event, (*pending[-1][:3], True))
+                    pending[-1] = last
+                elif closed:
+                    *held, last = closed[-1].events
+                    last = new(Event, (*last[:3], True))
+                    closed[-1] = Measure.trusted((*held, last))
+                else:
+                    raise ParseError(
+                        "dash has no note to continue", line=line_no,
+                        column=_column(line, n), rule_id="jianpu.parse")
+                sound = (TICKS_PER_BEAT, last[2])
+            elif sound is None:
+                try:
+                    sound = resolved[word] = _resolve_token(word, key)
+                except ParseError as exc:
+                    exc.line, exc.column = line_no, _column(line, n)
+                    raise
+            duration, pitches = sound
+            pending.append(new(Event, (onset, duration, pitches, False)))
+            onset += duration
         if clean and not pending and not line.lstrip().startswith("-"):
             line_of[line] = tuple(closed[first:])
 

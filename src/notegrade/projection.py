@@ -79,6 +79,13 @@ def project_ground_truth(gt: GroundTruth) -> CanonicalSequence:
         per_beat)
 
 
+def check_grid(grid: Fraction) -> None:
+    """A ConfigError unless ``grid`` is a positive int or Fraction."""
+    require_exact("grid", grid)
+    if grid <= 0:
+        raise ConfigError(f"grid must be positive, got {grid}")
+
+
 def grid_steps(n: int, d: int, grid: Fraction) -> int:
     """The whole steps of ``grid`` nearest ``n/d`` beats, at least one;
     exact midpoints round up. The caller checks ``grid``."""
@@ -92,9 +99,7 @@ def quantize_duration(duration: Fraction, grid: Fraction) -> Fraction:
 
     Exact midpoints round up: 3/8 on a 1/4 grid becomes 1/2.
     """
-    require_exact("quantization grid", grid)
-    if grid <= 0:
-        raise ConfigError(f"quantization grid must be positive, got {grid}")
+    check_grid(grid)
     return grid_steps(duration.numerator, duration.denominator, grid) * grid
 
 

@@ -25,8 +25,8 @@ from .metrics import (AccuracyScore, MetricWeights, alignment_accuracy,
 # bench/spans.py patches them by name.
 from .parsers import (parse_abc, parse_ascii_tab, parse_document,
                       parse_jianpu, validate_format)
-from .projection import (DEFAULT_GRID, project, project_ground_truth,
-                         quantize_durations)
+from .projection import (DEFAULT_GRID, check_grid, project,
+                         project_ground_truth, quantize_durations)
 from .errors import ConfigError
 from .pitch import STANDARD_TUNING, KeySignature, Tuning
 from .score import (FormatVerdict, GroundTruth, NotationFormat, ScoreDoc,
@@ -233,6 +233,7 @@ def score_cnc(sample_id: str, gt: GroundTruth, prediction: str,
     with a zero hybrid score; ``lenient=True`` instead scores any output
     that still parses, with the legality component lost.
     """
+    check_grid(grid)
     verdict = validate_format(target_format, prediction, tuning)
     if not verdict.legal and not lenient:
         return _rejection(sample_id, Task.CNC, target_format, tuple(
@@ -254,6 +255,7 @@ def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
     ``length_cap`` optionally excludes degenerate outputs more than
     cap-times longer than the reference from aggregation.
     """
+    check_grid(grid)
     return _conversion_result(sample_id, Task.AST, gt,
                               validate_format(fmt, prediction, tuning), fmt,
                               weights, grid, length_cap)

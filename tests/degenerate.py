@@ -12,9 +12,9 @@ seeded draw of eight eighth notes to a measure and four measures to a
 line in staff and jianpu, and four one-fret frames to a measure in tab.
 
 Run as a script to print the CPU time ``score_ast`` takes on a 1 MB
-prediction of each kind in each format, and then the CPU time
-``validate_format`` (the parse alone) takes on the 1 MB non-repeating
-prediction in each format (best of three runs):
+prediction of each kind in each format, and the CPU time
+``validate_format`` (the parse alone) takes on it (best of three runs
+each):
 
     PYTHONPATH=src python3 tests/degenerate.py
 """
@@ -170,8 +170,6 @@ if __name__ == "__main__":
         kind = prediction.__name__.removesuffix("_prediction")
         for fmt in formats:
             seconds = best_times(fmt, (1_000_000,), prediction=prediction)[0]
-            print(f"{kind} {fmt}: {seconds:.3f} s for 1 MB")
-    for fmt in FORMATS:
-        text = nonrepeating_prediction(fmt, 1_000_000)
-        print(f"nonrepeating {fmt} validate_format: "
-              f"{best_parse_time(fmt, text):.3f} s for 1 MB")
+            parse = best_parse_time(fmt, prediction(fmt, 1_000_000))
+            print(f"{kind} {fmt}: score_ast {seconds:.3f} s, "
+                  f"validate_format {parse:.3f} s for 1 MB")

@@ -4,10 +4,10 @@ the same invariants on every document the renderers below can write:
 each event survives a rebuild through ``Event(...)``, and within a
 measure each onset is the running sum of the earlier durations.
 
-The parsers also build each distinct measure text of a document once
-and reuse that measure where the text repeats. Documents drawn with
-repeated measures hold that reuse to parsing each measure on its own,
-and to the errors the parser reports without it.
+The parsers also reuse what they built where text repeats: a line in
+staff and jianpu, a measure in tab. Documents drawn with repeated
+measures hold that reuse to parsing each measure on its own, and to
+the errors the parser reports without it.
 """
 
 from fractions import Fraction
@@ -335,16 +335,20 @@ def test_repeated_measures_parse_as_they_do_alone(fmt, data):
             raised.value.column) == (rule_id, line, column)
 
 
+# In staff and jianpu, the copies of a line read from a clean state share
+# its measures (the first body line starts from no measure, so it is
+# not kept); in tab, the copies of a segment share one measure.
 @pytest.mark.parametrize("fmt,text", [
-    ("staff", _ABC_HEAD + "A B c d|A B c d|\nA B c d|]\n"),
-    # On one line, replays that end at "||" and at "|]".
-    ("staff", _ABC_HEAD + "A B|A B||A B|]\n"),
-    ("jianpu", "1=C\n1 2 3 4 | 1 2 3 4 |\n1 2 3 4 |\n"),
-    ("jianpu", "1=C\n1 2 | 1 2 | 1 2 |\n"),
+    ("staff", _ABC_HEAD + "C D|\n" + "A B c d|\n" * 3),
+    # Lines that end at "||".
+    ("staff", _ABC_HEAD + "C D|\n" + "A B||\n" * 3),
+    ("jianpu", "1=C\n1 2 |\n" + "1 2 3 4 |\n" * 3),
+    # A dash inside the line's measure.
+    ("jianpu", "1=C\n| 1 2 |\n" + "3 - |\n" * 3),
     ("tab", "".join(label + "-3-5-|-3-5-|-3-5-|\n" for label in _TAB_LABELS)),
 ])
 def test_a_repeated_measure_is_built_once(fmt, text):
-    first, *rest = _PARSERS[fmt](text).measures
+    first, *rest = _PARSERS[fmt](text).measures[-3:]
     assert len(rest) == 2 and all(measure is first for measure in rest)
 
 
@@ -423,7 +427,7 @@ def test_a_dash_opening_a_measure_leaves_earlier_copies_untied():
     first, second, _, fourth = doc.measures
     assert [e.tied for e in first.events] == [False] * 4
     assert [e.tied for e in second.events] == [False] * 3 + [True]
-    assert fourth is first
+    assert fourth == first
     assert second.events[:3] == first.events[:3]
 
 

@@ -141,6 +141,20 @@ def test_load_manifest_rejects_bad_rows(tmp_path, row, fragment):
     assert "line 1" in str(err.value)
 
 
+@pytest.mark.parametrize("field", ["pred_path", "gt_path"])
+def test_a_nul_in_a_manifest_path_is_a_schema_error(tmp_path, capsys, field):
+    row = {"id": "x", "task": "cnc", "format": "staff", "pred_path": "p",
+           "gt_path": "g", field: "pred\u0000.abc"}
+    manifest = _manifest(tmp_path, [row])
+    with pytest.raises(SchemaError,
+                       match=f"manifest line 1: '{field}' must not contain"):
+        load_manifest(manifest)
+    assert main(["batch", "--manifest", str(manifest),
+                 "--out", str(tmp_path / "report.json")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: manifest line 1:") and err.count("\n") == 1
+
+
 def test_load_manifest_rejects_duplicate_ids(tmp_path):
     row = {"id": "x", "task": "vsu", "format": "staff",
            "pred_path": "p", "answer": "a"}

@@ -156,6 +156,21 @@ def test_cnc_custom_weights():
     assert result.hybrid == result.acc_pitch.value == Fraction(7, 8)
 
 
+@pytest.mark.parametrize("scorer", [score_cnc, score_ast])
+@pytest.mark.parametrize("grid,message", [
+    (Fraction(0), "grid must be positive, got 0"),
+    (Fraction(-1, 4), "grid must be positive, got -1/4"),
+    (0.25, "grid must be an int or a Fraction, got 0.25"),
+    (True, "grid must be an int or a Fraction, got True"),
+], ids=["zero", "negative", "float", "bool"])
+def test_cnc_and_ast_check_the_grid(scorer, grid, message):
+    # The messages EvalConfig gives; a zero grid divided by zero, a
+    # float one had no numerator, and the others scored silently.
+    with pytest.raises(ConfigError) as err:
+        scorer("s", SCALE_GT, SCALE_ABC, STAFF, grid=grid)
+    assert str(err.value) == message
+
+
 def test_ast_scores_parseable_but_illegal_output():
     no_x = SCALE_ABC.replace("X:1\n", "")
     result = score_ast("s", SCALE_GT, no_x, STAFF)
