@@ -8,10 +8,9 @@ every run, samples ordered by id. Samples are scored one at a time:
 from __future__ import annotations
 
 import contextlib
-import csv
-import io
 import os
 from collections import namedtuple
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _quote
@@ -20,13 +19,14 @@ from typing import NamedTuple
 
 from .errors import (ConfigError, ParseError, PitchError, SchemaError,
                      json_object, read_input)
-from .metrics import MetricWeights
+from .metrics import AccuracyScore, MetricWeights
 from .parsers import load_ground_truth
 from .pitch import STANDARD_TUNING, KeySignature, Tuning
 from .projection import DEFAULT_GRID, beats_text, check_grid
 from .score import GroundTruth, NotationFormat, TimeSignature
 from .tasks import (
     CapabilityWeights,
+    SmgRuleReport,
     Task,
     TaskResult,
     aggregate_capability,
@@ -38,6 +38,9 @@ from .tasks import (
 )
 
 REPORT_SCHEMA_VERSION = 1
+# The memo of the batch being scored, set by run_batch around its loop:
+# score_sample, whose callers pass (record, config, gt), hands it on.
+_BATCH_MEMO: ContextVar[dict | None] = ContextVar("batch_memo", default=None)
 
 _RECORD_KEYS = {"id", "task", "format", "pred_path", "gt_path", "answer",
                 "declared_key", "declared_meter", "tuning"}
@@ -80,7 +83,7 @@ class SampleRecord(NamedTuple):
     id: str
     task: Task
     format: NotationFormat
-    pred_path: Path
+    pred_path: str | Path
     gt_path: Path | None = None
     answer: str | None = None
     declared_key: KeySignature | None = None
@@ -105,7 +108,8 @@ def _require_path(obj: dict, key: str, line: int, join) -> Path:
     return join(value)
 
 
-def _record(raw: str, line: int, join, parse_key, parse_meter) -> SampleRecord:
+def _record(raw: str, line: int, join_str, join, parse_key,
+            parse_meter) -> SampleRecord:
     obj = json_object(raw, f"manifest line {line}", SchemaError, decode=True,
                       known=_RECORD_KEYS)
     sample_id = _require_str(obj, "id", line)
@@ -114,7 +118,7 @@ def _record(raw: str, line: int, join, parse_key, parse_meter) -> SampleRecord:
         fmt = NotationFormat.parse(_require_str(obj, "format", line))
     except (ConfigError, ParseError) as exc:
         raise SchemaError(f"manifest line {line}: {exc}") from None
-    pred_path = _require_path(obj, "pred_path", line, join)
+    pred_path = _require_path(obj, "pred_path", line, join_str)
 
     gt_path = None
     if task in (Task.CNC, Task.AST):
@@ -159,8 +163,18 @@ def load_manifest(path: str | Path) -> tuple[SampleRecord, ...]:
     """Read a JSONL manifest; any structural problem is a SchemaError."""
     path = Path(path)
     text = read_input(path, f"manifest {path}", SchemaError)
-    # Each distinct path is joined, and each key or meter parsed, once.
-    memos = (cache(path.parent.joinpath), cache(KeySignature.parse),
+    # Each distinct ground-truth path is joined, and each key or meter
+    # parsed, once. A prediction path is joined as a str, as pathlib would
+    # write it: by pathlib where a "." or empty part or a "\\" sep is met.
+    base = path.parent
+    prefix = "" if base == Path() else os.path.join(base, "")
+
+    def join_str(value: str) -> str:
+        parts = value.split("/")
+        if os.sep == "/" and "." not in parts and "" not in parts:
+            return prefix + value
+        return str(base.joinpath(value))
+    memos = (join_str, cache(base.joinpath), cache(KeySignature.parse),
              cache(TimeSignature.parse))
     records = []
     seen: set[str] = set()
@@ -207,7 +221,8 @@ def load_external_scores(path: str | Path) -> dict[str, dict[str, float]]:
 
 
 def score_text(record: SampleRecord, config: EvalConfig,
-               gt: GroundTruth | None, prediction: str) -> TaskResult:
+               gt: GroundTruth | None, prediction: str,
+               memo: dict | None = None) -> TaskResult:
     """Score one sample's prediction text: the one place a task picks its
     scorer, for ``notegrade score`` and ``score_sample`` alike."""
     tuning = record.tuning or config.tuning
@@ -217,26 +232,27 @@ def score_text(record: SampleRecord, config: EvalConfig,
         return score_cnc(
             record.id, gt, prediction, record.format,
             weights=config.weights, grid=config.grid, tuning=tuning,
-            lenient=config.cnc_lenient)
+            lenient=config.cnc_lenient, memo=memo)
     if record.task is Task.AST:
         return score_ast(
             record.id, gt, prediction, record.format,
             weights=config.weights, grid=config.grid, tuning=tuning,
-            length_cap=config.ast_length_cap)
+            length_cap=config.ast_length_cap, memo=memo)
     return score_smg(
         record.id, prediction, record.format,
-        record.declared_key, record.declared_meter, tuning=tuning)
+        record.declared_key, record.declared_meter, tuning=tuning, memo=memo)
 
 
 def score_sample(record: SampleRecord, config: EvalConfig,
                  gt: GroundTruth | None) -> TaskResult:
-    """Score one sample; ground truth, when needed, is loaded by the caller."""
+    """Score one sample; ground truth, when needed, is loaded by the caller,
+    and the memo is that of the batch being run, if any."""
     try:
         prediction, diagnostics = read_input(record.pred_path, model=True), ()
     except OSError as exc:
         prediction = ""
         diagnostics = (f"prediction unreadable, scored as empty: {exc}",)
-    result = score_text(record, config, gt, prediction)
+    result = score_text(record, config, gt, prediction, _BATCH_MEMO.get())
     if diagnostics:
         result = result._replace(diagnostics=diagnostics + result.diagnostics)
     return result
@@ -265,18 +281,21 @@ class Report(namedtuple("Report",
     def _cells(self) -> dict[tuple, list]:
         """Group the results in one pass. The cells (task, format) and
         (task, None), the latter for all formats, each hold the sample
-        count, the valid count and the exact sum of normalized scores."""
+        count, the valid count and the exact sum of normalized scores,
+        which adds the numerators of each denominator first."""
         fmt_of = {record.id: record.format for record in self.records}
         cells: dict[tuple, list] = {}
         for result in self.results:
             value = result.normalized()
             cell = cells.setdefault(
-                (result.task, fmt_of[result.sample_id]), [0, 0, 0])
+                (result.task, fmt_of[result.sample_id]), [0, 0, {}])
             cell[0] += 1
             if value is not None:
                 cell[1] += 1
-                cell[2] += value
+                sums, den = cell[2], value.denominator
+                sums[den] = sums.get(den, 0) + value.numerator
         for (task, _), cell in list(cells.items()):  # pool the formats
+            cell[2] = sum(Fraction(num, den) for den, num in cell[2].items())
             pooled = cells.setdefault((task, None), [0, 0, 0])
             pooled[:] = [a + b for a, b in zip(pooled, cell)]
         return cells
@@ -352,17 +371,25 @@ def run_batch(records: tuple[SampleRecord, ...],
     """Score every sample and assemble a deterministic report.
 
     Ground truth is loaded up front so corrupt benchmark data aborts the
-    run before any scoring happens.
+    run before any scoring happens. One memo, made here and dropped with
+    the batch, lets the parsers resolve each distinct text once.
     """
     if isinstance(workers, bool) or not isinstance(workers, int) \
             or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
-    # Each ground-truth file is loaded and projected once, in manifest order.
-    ground_truths = {path: projected(load_ground_truth(path)) for path in
-                     dict.fromkeys(r.gt_path for r in records if r.gt_path)}
-    ordered = sorted(records, key=lambda r: r.id)
-    results = tuple(score_sample(r, config, ground_truths.get(r.gt_path))
-                    for r in ordered)
+    memo: dict = {}
+    token = _BATCH_MEMO.set(memo)
+    try:
+        # Each ground-truth file is loaded and projected once, in manifest
+        # order.
+        ground_truths = {
+            path: projected(load_ground_truth(path, memo), config.grid)
+            for path in dict.fromkeys(r.gt_path for r in records if r.gt_path)}
+        ordered = sorted(records, key=lambda r: r.id)
+        results = tuple(score_sample(r, config, ground_truths.get(r.gt_path))
+                        for r in ordered)
+    finally:
+        _BATCH_MEMO.reset(token)
 
     warnings = []
     present = {record.task for record in records}
@@ -431,9 +458,69 @@ def _json_chunks(data: dict):
             yield json_text(value, "\n  ")
             continue
         for i, item in enumerate(value):
-            yield ("[" if i == 0 else ",") + "\n    " + json_text(item, "\n    ")
+            yield ("[" if i == 0 else ",") + "\n    " + (
+                _entry_text(item, "\n    ") if key == "per_sample"
+                else json_text(item, "\n    "))
         yield "\n  ]"
     yield "\n}\n"
+
+
+# The keys of a per-sample entry, and of its accuracy and rule objects.
+_ENTRY_KEYS = {*TaskResult._fields, "normalized", "format", "aesthetic",
+               "fingering"}
+_ACCURACY_KEYS = {*AccuracyScore._fields, "value_exact"}
+_RULE_KEYS = sorted(SmgRuleReport._fields)
+
+
+def _accuracy_text(a, pad: str, s=_SCALARS) -> str:
+    """``json_text(a, pad)`` for an accuracy object or None."""
+    if a is None:
+        return "null"
+    if type(a) is not dict or a.keys() != _ACCURACY_KEYS:
+        raise KeyError(a)
+    i = pad + "  "
+    return (f'{{{i}"edit_distance": {s[type(x := a["edit_distance"])](x)},'
+            f'{i}"len_gt": {s[type(x := a["len_gt"])](x)},'
+            f'{i}"len_pred": {s[type(x := a["len_pred"])](x)},'
+            f'{i}"value": {s[type(x := a["value"])](x)},'
+            f'{i}"value_exact": {s[type(x := a["value_exact"])](x)}{pad}}}')
+
+
+def _entry_text(entry: dict, pad: str, s=_SCALARS) -> str:
+    """``json_text(entry, pad)`` for a per-sample entry, in fewer steps:
+    its keys, and those of its objects, are written in a known order. An
+    entry of another shape, or holding a value of another type (``s``
+    has no key for it), goes through ``json_text``, and fails as it does."""
+    i, j = pad + "  ", pad + "    "
+    try:
+        rules, notes = entry["rules"], entry["diagnostics"]
+        if entry.keys() != _ENTRY_KEYS or type(notes) is not list or (
+                rules is not None and (type(rules) is not dict
+                                       or rules.keys() != set(_RULE_KEYS))):
+            raise KeyError(entry)
+        rules = "null" if rules is None else f"{{{j}" + f",{j}".join([
+            f'"{key}": {s[type(x := rules[key])](x)}' for key in _RULE_KEYS
+        ]) + f"{i}}}"
+        notes = f"[{j}" + f",{j}".join([s[type(x)](x) for x in notes]) \
+            + f"{i}]" if notes else "[]"
+        return (
+            f'{{{i}"acc_duration": {_accuracy_text(entry["acc_duration"], i)},'
+            f'{i}"acc_pitch": {_accuracy_text(entry["acc_pitch"], i)},'
+            f'{i}"aesthetic": {s[type(x := entry["aesthetic"])](x)},'
+            f'{i}"correct": {s[type(x := entry["correct"])](x)},'
+            f'{i}"diagnostics": {notes},'
+            f'{i}"fingering": {s[type(x := entry["fingering"])](x)},'
+            f'{i}"fmt_legal": {s[type(x := entry["fmt_legal"])](x)},'
+            f'{i}"format": {s[type(x := entry["format"])](x)},'
+            f'{i}"hybrid": {s[type(x := entry["hybrid"])](x)},'
+            f'{i}"normalized": {s[type(x := entry["normalized"])](x)},'
+            f'{i}"rules": {rules},'
+            f'{i}"sample_id": {s[type(x := entry["sample_id"])](x)},'
+            f'{i}"task": {s[type(x := entry["task"])](x)},'
+            f'{i}"technical": {s[type(x := entry["technical"])](x)},'
+            f'{i}"valid": {s[type(x := entry["valid"])](x)}{pad}}}')
+    except KeyError:
+        return json_text(entry, pad)
 
 
 def write_report(report: Report, out_path: str | Path,
@@ -451,15 +538,13 @@ def write_report(report: Report, out_path: str | Path,
             raise ConfigError(f"cannot write {path}: it is a directory")
     data = report.to_json_dict()
     texts = {Path(out_path): _json_chunks(data)}
-    if csv_path is not None:
-        table = io.StringIO()
-        writer = csv.writer(table)
-        writer.writerow(["task", "format", "count", "invalid_count", "mean"])
-        for row in data["per_task_format"]:
-            mean = "" if row["mean"] is None else f"{row['mean']:.6f}"
-            writer.writerow([row["task"], row["format"], row["count"],
-                             row["invalid_count"], mean])
-        texts[Path(csv_path)] = [table.getvalue()]
+    if csv_path is not None:  # as the csv module writes it: no field here
+        # needs quoting, and rows end in "\r\n".
+        texts[Path(csv_path)] = ["task,format,count,invalid_count,mean\r\n"] + [
+            f"{row['task']},{row['format']},{row['count']},"
+            f"{row['invalid_count']},"
+            f"{'' if row['mean'] is None else format(row['mean'], '.6f')}\r\n"
+            for row in data["per_task_format"]]
     outputs = {path.resolve() for path in texts}
     temps: dict[Path, Path] = {}
     try:

@@ -174,8 +174,15 @@ def hybrid_score(acc_pitch: Fraction, acc_duration: Fraction | None,
     ``acc_duration=None`` means the target format has no duration stream;
     its weight is then redistributed over the other two components.
     """
-    legal = weights.format if format_legal else 0
+    pitch, duration, fmt = weights
+    terms = [(pitch, acc_pitch), (fmt if format_legal else 0, 1)]
+    if acc_duration is not None:
+        terms.append((duration, acc_duration))
+    num, den = 0, 1  # the sum, one Fraction at the end: a/b + c/d = (ad+cb)/bd
+    for weight, value in terms:
+        d = weight.denominator * value.denominator
+        num, den = num * d + weight.numerator * value.numerator * den, den * d
     if acc_duration is None:  # without_duration raises for a zero rest
-        rest = weights.pitch + weights.format or weights.without_duration()
-        return (weights.pitch * acc_pitch + legal) / rest
-    return weights.pitch * acc_pitch + weights.duration * acc_duration + legal
+        rest = pitch + fmt or weights.without_duration()
+        num, den = num * rest.denominator, den * rest.numerator
+    return Fraction(num, den)

@@ -8,7 +8,9 @@ through the measure.
 
 Reading a body: one ``findall`` lists a line's items, barlines
 included, and each distinct item, pitch and length text is resolved
-once per parse. One memo skips repeated text: each line read from and
+once per batch: the caller's memo keeps each resolution under the key
+and unit length it depends on, and only resolutions that succeed. One
+more memo, per parse, skips repeated text: each line read from and
 left in a clean state (a measure closed before it, so "|" opens no
 empty measure, and nothing pending after it).
 """
@@ -42,13 +44,16 @@ _REQUIRED_HEADERS = (
 )
 _UNIT_RE = re.compile(r"([0-9]+)/([0-9]+)")
 _PITCH_RE = re.compile(r"([\^_=]?)([A-Ga-g])([',]*)")
+_PITCHES_RE = re.compile(r"(?:[\^_=]?[A-Ga-g][',]*)*")
 _LENGTH_RE = re.compile(r"([0-9]*)(/*)([0-9]*)")
 _ACCIDENTALS = {"^": 1, "_": -1, "=": 0}
 # One item of a tune body, after any whitespace: a barline, a rest, note
-# or chord with its length, or any other character (a tie, a stray
-# accidental, a chord's "[" when no well-formed chord follows, ...).
+# or chord with its length, a "[" that opens no well-formed chord with
+# the rest of its line (its error stops the parse), or any other
+# character (a tie, a stray accidental, ...).
 _ITEM_RE = re.compile(r"\s*(\|[|\]]?|(?:z|[\^_=]?[A-Ga-g][',]*"
-                      r"|\[(?:[\^_=]?[A-Ga-g][',]*)+\])[0-9]*/*[0-9]*|\S)")
+                      r"|\[(?:[\^_=]?[A-Ga-g][',]*)+\])[0-9]*/*[0-9]*"
+                      r"|\[.*|\S)")
 
 
 def _number(digits: str, line: int, column: int | None = None,
@@ -144,15 +149,14 @@ def _error(message: str, line_no: int, i: int) -> ParseError:
     return ParseError(message, line=line_no, column=i + 1, rule_id="abc.parse")
 
 
-def _parse_body(body: list[tuple[int, str]], key_name: str,
-                unit: Fraction) -> tuple[tuple[Measure, ...], bool]:
+def _parse_body(body: list[tuple[int, str]], key_name: str, unit: Fraction,
+                memo: dict) -> tuple[tuple[Measure, ...], bool]:
     """The measures of a tune body, and whether it ends on a barline."""
     key_shift = key_signature_accidentals(key_name)
     unit_beats = (unit.numerator * 4, unit.denominator)
     # The ticks and pitches of each distinct rest, note or chord text,
     # and of the pitch and length texts they are made of.
-    sounds: dict[str, tuple[int, tuple[int, ...]]] = {}
-    parts: dict[str, tuple[int, ...] | int] = {}
+    sounds, parts = memo.setdefault(("abc", key_name, unit_beats), ({}, {}))
     line_of: dict[str, tuple[Measure, ...]] = {}
     measures: list[Measure] = []
     pending: list[Event] = []
@@ -202,10 +206,7 @@ def _parse_body(body: list[tuple[int, str]], key_name: str,
                     sound = sounds[item] = _resolve(
                         item, line_no, key_shift, unit_beats, parts)
                 except ParseError as exc:
-                    at = _item_start(text, k)
-                    if item == "[":  # no well-formed chord: find why
-                        _scan_chord(text, at, line_no, key_shift, unit_beats)
-                    exc.column += at
+                    exc.column += _item_start(text, k)
                     raise
             ticks, pitches = sound
             pending.append(new(Event, (onset, ticks, pitches, False)))
@@ -231,7 +232,7 @@ def _resolve(item: str, line_no: int, key_shift: dict[str, int],
     """The ticks and pitches of the rest, note or chord ``item``, located
     as if it began its line; ``parts`` memoizes pitch and length texts."""
     if item[0] == "[":
-        return _scan_chord(item, 0, line_no, key_shift, unit_beats)
+        return _scan_chord(item, line_no, key_shift, unit_beats, parts)
     if item in _ACCIDENTALS:
         raise _error("accidental must be followed by a note letter",
                      line_no, 0)
@@ -248,32 +249,31 @@ def _resolve(item: str, line_no: int, key_shift: dict[str, int],
     return parts[length], parts[pitch]
 
 
-def _scan_chord(text: str, i: int, line_no: int, key_shift: dict[str, int],
-                unit_beats: tuple[int, int]) -> tuple[int, tuple[int, ...]]:
-    """The ticks and pitches of the chord at ``i``."""
-    chord, end = [], i + 1
-    while True:
-        if end >= len(text):
-            raise _error("unterminated chord", line_no, i)
-        ch = text[end]
-        if ch == "]":
-            end += 1
-            break
-        if ch in "0123456789/":
-            raise _error("chord notes cannot carry their own durations",
-                         line_no, end)
-        if not (ch in "^_=" or ch.upper() in LETTER_SEMITONES):
-            raise _error(f"unexpected character {ch!r} in chord", line_no, end)
-        match = _PITCH_RE.match(text, end)
-        if not match:
-            raise _error("accidental must be followed by a note letter",
-                         line_no, end)
-        chord.append(_pitch(*match.groups(), key_shift, line_no, end))
-        end = match.end()
+def _scan_chord(item: str, line_no: int, key_shift: dict[str, int],
+                unit_beats: tuple[int, int],
+                parts: dict) -> tuple[int, tuple[int, ...]]:
+    """The ticks and pitches of the chord ``item``, which may be the rest
+    of a line: its notes are read in one pass, then what ends them."""
+    end = _PITCHES_RE.match(item, 1).end()
+    chord = []
+    for note in _PITCH_RE.finditer(item, 1, end):
+        if note[0] not in parts:
+            parts[note[0]] = (_pitch(*note.groups(), key_shift, line_no,
+                                     note.start()),)
+        chord += parts[note[0]]
+    ch = item[end:end + 1]
+    if ch != "]":
+        raise _error(
+            "unterminated chord" if not ch else
+            "chord notes cannot carry their own durations"
+            if ch in "0123456789/" else
+            "accidental must be followed by a note letter" if ch in "^_="
+            else f"unexpected character {ch!r} in chord",
+            line_no, end if ch else 0)
     if not chord:
-        raise _error("empty chord", line_no, i)
-    return (_ticks(*_LENGTH_RE.match(text, end).groups(), line_no, end,
-                   i + 1, unit_beats), tuple(sort_chord(chord)))
+        raise _error("empty chord", line_no, 0)
+    return (_ticks(*_LENGTH_RE.match(item, end + 1).groups(), line_no,
+                   end + 1, 1, unit_beats), tuple(sort_chord(chord)))
 
 
 def _pitch(accidental: str, letter: str, marks: str,
@@ -309,12 +309,13 @@ def _ticks(digits: str, slashes: str, below: str, line_no: int, i: int,
         column=event_column, rule_id="abc.duration_resolution")
 
 
-def parse_abc(text: str,
-              violations: list[Violation] | None = None) -> ScoreDoc:
+def parse_abc(text: str, violations: list[Violation] | None = None,
+              memo: dict | None = None) -> ScoreDoc:
     """Parse ABC text into a document, raising ParseError on any violation.
 
     Soft violations, which do not stop the parse, are appended to
-    ``violations`` when it is given.
+    ``violations`` when it is given. ``memo`` is a batch's memo of
+    resolved text; without one, the parse starts its own.
     """
     headers, body, line_of = split_headers(text, violations)
     x_field = headers.get("X")
@@ -341,7 +342,8 @@ def parse_abc(text: str,
         unit = Fraction(num, den)
     else:
         unit = default_unit_length(meter)
-    measures, final_barline = _parse_body(body, key_name, unit)
+    measures, final_barline = _parse_body(body, key_name, unit,
+                                          {} if memo is None else memo)
     return ScoreDoc(
         format=NotationFormat.ABC_STAFF,
         key=key,

@@ -33,7 +33,11 @@ _TOP_LEVEL_KEYS = {"id", "format", "key", "meter", "tempo_bpm", "events"}
 _EVENT_KEYS = {"onset_beats", "duration_beats", "midi"}
 
 
-def _beats(value: object, field: str, index: int) -> Fraction:
+def _beats(value: object, field: str, index: int,
+           known: dict[str, Fraction]) -> Fraction:
+    """The Fraction ``value`` writes; ``known`` memoizes the texts read."""
+    if type(value) is str and value in known:
+        return known[value]
     if not isinstance(value, str):
         raise SchemaError(f"events[{index}].{field} must be a num/den string")
     match = _BEATS_RE.fullmatch(value)
@@ -46,15 +50,17 @@ def _beats(value: object, field: str, index: int) -> Fraction:
     if den == 0:
         raise SchemaError(
             f"events[{index}].{field} {value!r} is not a valid num/den string")
-    return Fraction(num, den)
+    beats = known[value] = Fraction(num, den)
+    return beats
 
 
-def _event(obj: object, index: int) -> GroundTruthEvent:
-    obj = json_object(obj, f"events[{index}]", SchemaError,
-                      known=_EVENT_KEYS, required=_EVENT_KEYS)
-    onset = _beats(obj["onset_beats"], "onset_beats", index)
-    duration = _beats(obj["duration_beats"], "duration_beats", index)
-    if duration <= 0:
+def _event(obj: object, index: int, known: dict) -> GroundTruthEvent:
+    if type(obj) is not dict or obj.keys() != _EVENT_KEYS:
+        json_object(obj, f"events[{index}]", SchemaError, known=_EVENT_KEYS,
+                    required=_EVENT_KEYS)  # raises, naming the flaw
+    onset = _beats(obj["onset_beats"], "onset_beats", index, known)
+    duration = _beats(obj["duration_beats"], "duration_beats", index, known)
+    if not duration:  # no sign is written, so not zero is positive
         raise SchemaError(f"events[{index}].duration_beats must be positive")
     midi = obj["midi"]
     if not isinstance(midi, list):
@@ -79,8 +85,9 @@ def _text_field(obj: dict, name: str, parse):
         raise SchemaError(str(exc)) from None
 
 
-def parse_ground_truth(text: str) -> GroundTruth:
-    """Parse a ground-truth JSON document, raising SchemaError on any flaw."""
+def parse_ground_truth(text: str, memo: dict | None = None) -> GroundTruth:
+    """Parse a ground-truth JSON document, raising SchemaError on any flaw.
+    ``memo`` is a batch's memo: the Fraction of each "num/den" text read."""
     obj = json_object(text, "ground truth", SchemaError, decode=True,
                       known=_TOP_LEVEL_KEYS,
                       required=_TOP_LEVEL_KEYS - {"tempo_bpm"})
@@ -103,7 +110,8 @@ def parse_ground_truth(text: str) -> GroundTruth:
 
     if not isinstance(obj["events"], list):
         raise SchemaError("events must be a list")
-    events = tuple(_event(e, i) for i, e in enumerate(obj["events"]))
+    known = {} if memo is None else memo.setdefault("beats", {})
+    events = tuple(_event(e, i, known) for i, e in enumerate(obj["events"]))
     for i, (a, b) in enumerate(zip(events, events[1:])):
         if a.onset_beats > b.onset_beats:
             raise SchemaError(f"events[{i + 1}] onset precedes events[{i}]")
@@ -114,11 +122,12 @@ def parse_ground_truth(text: str) -> GroundTruth:
     )
 
 
-def load_ground_truth(path: str | Path) -> GroundTruth:
+def load_ground_truth(path: str | Path, memo: dict | None = None,
+                      ) -> GroundTruth:
     """Load and parse a ground-truth file; any flaw, an unreadable file
     too, is a SchemaError that names the file."""
     try:
         return parse_ground_truth(
-            read_input(path, "ground truth", SchemaError))
+            read_input(path, "ground truth", SchemaError), memo)
     except SchemaError as exc:
         raise SchemaError(f"{path}: {exc}") from None

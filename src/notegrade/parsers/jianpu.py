@@ -16,8 +16,10 @@ measure it spans.
 
 Reading a body: a line splits into words with one ``str.split``, a
 ``|`` word closing a measure, and each distinct word is resolved once
-per parse. One memo skips repeated text: each line read from and left
-in a clean state (a barline seen, nothing pending, no opening dash).
+per batch: the caller's memo keeps each resolution under the key it
+was resolved in, and only resolutions that succeed. One more memo, per
+parse, skips repeated text: each line read from and left in a clean
+state (a barline seen, nothing pending, no opening dash).
 """
 
 from __future__ import annotations
@@ -33,7 +35,6 @@ from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat, ScoreDoc,
 
 _DIRECTIVE_RE = re.compile(r"1=([A-G][#b]?)(?:\s+([0-9]+/[0-9]+))?")
 _TOKEN_RE = re.compile(r"^([0-7])('+|,+)?(_+)?$")
-_WORD_RE = re.compile(r"\S+")
 
 
 def parse_key_directive(line: str,
@@ -85,18 +86,20 @@ def _resolve_token(token: str,
 
 def _column(line: str, n: int) -> int:
     """The 1-based column of word ``n`` of ``line``."""
-    return next(islice(_WORD_RE.finditer(line), n, None)).start() + 1
+    return next(islice(re.finditer(r"\S+", line), n, None)).start() + 1
 
 
 def parse_jianpu(text: str,
                  key_override: KeySignature | None = None,
-                 violations: list[Violation] | None = None) -> ScoreDoc:
+                 violations: list[Violation] | None = None,
+                 memo: dict | None = None) -> ScoreDoc:
     """Parse numbered-notation text, raising ParseError on any violation.
 
     ``key_override`` resolves degrees in a different key than the
     directive declares, for projecting a piece whose directive is wrong.
     Music that does not end with a barline is a soft violation, added
-    to ``violations`` when it is given.
+    to ``violations`` when it is given. ``memo`` is a batch's memo of
+    resolved text; without one, the parse starts its own.
     """
     lines = list(enumerate(split_lines(text), start=1))
     directive_idx = next(
@@ -119,7 +122,7 @@ def parse_jianpu(text: str,
     onset = 0
     bar_seen = False
     # The duration in ticks and the pitches of each distinct note or rest.
-    resolved: dict[str, tuple[int, tuple[int, ...]]] = {}
+    resolved = {} if memo is None else memo.setdefault(("jianpu", key), {})
     # The measures each line read from a clean state closed (see the
     # module docstring).
     line_of: dict[str, tuple[Measure, ...]] = {}

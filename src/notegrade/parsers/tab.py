@@ -33,8 +33,6 @@ from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat, ScoreDoc,
 
 STRING_LABELS = ("e|", "B|", "G|", "D|", "A|", "E|")
 
-_BAD_CHAR_RE = re.compile(r"[^0-9|-]")
-_BAR_RE = re.compile(r"\|")
 _RUN_RE = re.compile(r"[0-9]+")
 _FRETLESS = str.maketrans("0123456789", "-" * 10)
 _ZERO_WIDTH = "|" * 5  # six empty slices joined
@@ -71,12 +69,13 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
     fretless = [body.translate(_FRETLESS) for body in bodies]
     for (line_no, _), body, bare in zip(non_blank, bodies, fretless):
         if bare.count("-") + bare.count("|") < len(bare):
-            bad = _BAD_CHAR_RE.search(body)
+            bad = re.search(r"[^0-9|-]", body)  # compiled on first use
             raise ParseError(
                 f"character {bad[0]!r} not allowed in tablature", line=line_no,
                 column=bad.start() + 3, rule_id="tab.charset")
     if len(set(fretless)) > 1:
-        bars = [{m.start() for m in _BAR_RE.finditer(body)} for body in bodies]
+        bars = [{m.start() for m in re.finditer(r"\|", body)}
+                for body in bodies]
         stray = set().union(*bars).difference(bars[0].intersection(*bars))
         raise ParseError(
             "barline does not span all six strings",

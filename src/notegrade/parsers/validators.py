@@ -20,22 +20,25 @@ from .tab import parse_ascii_tab
 
 def parse_document(fmt: NotationFormat, text: str,
                    tuning: Tuning = STANDARD_TUNING,
-                   violations: list[Violation] | None = None) -> ScoreDoc:
+                   violations: list[Violation] | None = None,
+                   memo: dict | None = None) -> ScoreDoc:
     """Parse with the one parser of ``fmt``; soft violations go into
-    ``violations`` when it is given (tablature has none)."""
+    ``violations`` when it is given (tablature has none). ``memo`` is the
+    batch's memo of resolved text (see the staff and jianpu parsers)."""
     if fmt is NotationFormat.ABC_STAFF:
-        return parse_abc(text, violations=violations)
+        return parse_abc(text, violations=violations, memo=memo)
     if fmt is NotationFormat.JIANPU:
-        return parse_jianpu(text, violations=violations)
+        return parse_jianpu(text, violations=violations, memo=memo)
     return parse_ascii_tab(text, tuning)
 
 
 def validate_format(fmt: NotationFormat, text: str,
-                    tuning: Tuning = STANDARD_TUNING) -> FormatVerdict:
+                    tuning: Tuning = STANDARD_TUNING,
+                    memo: dict | None = None) -> FormatVerdict:
     """Judge a document against the strict rules of one notation format."""
     violations: list[Violation] = []
     try:
-        doc = parse_document(fmt, text, tuning, violations)
+        doc = parse_document(fmt, text, tuning, violations, memo)
     except ParseError as exc:
         rule_id = exc.rule_id or f"{fmt.value}.parse"
         if all(v.rule_id != rule_id for v in violations):

@@ -244,8 +244,10 @@ class GroundTruth(NamedTuple):
     meter: TimeSignature
     events: tuple[GroundTruthEvent, ...]
     tempo_bpm: float | None = None
-    # Its CanonicalSequence, when a batch has projected it (once per file).
+    # Its CanonicalSequence, when a batch has projected it (once per file),
+    # and (grid, its durations in steps of the batch's grid).
     projection: object = None
+    steps: tuple | None = None
 
     __eq__, __ne__, __hash__, __repr__ = _by_leading(6)
 

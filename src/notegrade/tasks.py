@@ -174,9 +174,11 @@ def _rejection(sample_id: str, task: Task, fmt: NotationFormat,
         fmt_legal=False, hybrid=_ZERO, diagnostics=diagnostics)
 
 
-def projected(gt: GroundTruth) -> GroundTruth:
-    """``gt`` carrying its projection, which the scorers then reuse."""
-    return gt._replace(projection=project_ground_truth(gt))
+def projected(gt: GroundTruth, grid: Fraction | None = None) -> GroundTruth:
+    """``gt`` carrying its projection, and its steps on ``grid`` if given,
+    which the scorers then reuse."""
+    seq = project_ground_truth(gt)
+    return gt._replace(projection=seq, steps=grid and (grid, seq.steps(grid)))
 
 
 def _conversion_result(sample_id: str, task: Task, gt: GroundTruth,
@@ -204,8 +206,9 @@ def _conversion_result(sample_id: str, task: Task, gt: GroundTruth,
     acc_pitch = alignment_accuracy(gt_seq.pitch_tokens, pred_seq.pitch_tokens)
     acc_duration = duration_value = None
     if fmt is not NotationFormat.ASCII_TAB:
-        acc_duration = alignment_accuracy(gt_seq.steps(grid),
-                                          pred_seq.steps(grid))
+        gt_steps = gt.steps[1] if gt.steps and gt.steps[0] == grid \
+            else gt_seq.steps(grid)
+        acc_duration = alignment_accuracy(gt_steps, pred_seq.steps(grid))
         duration_value = acc_duration.value
         if doc.key.tonic != gt.key.tonic:
             diagnostics.append(
@@ -226,15 +229,16 @@ def score_cnc(sample_id: str, gt: GroundTruth, prediction: str,
               weights: MetricWeights = MetricWeights(),
               grid: Fraction = DEFAULT_GRID,
               tuning: Tuning = STANDARD_TUNING,
-              lenient: bool = False) -> TaskResult:
+              lenient: bool = False, memo: dict | None = None) -> TaskResult:
     """Score a conversion into ``target_format`` against the source piece.
 
     An output that breaks the target format's rules is rejected outright
     with a zero hybrid score; ``lenient=True`` instead scores any output
-    that still parses, with the legality component lost.
+    that still parses, with the legality component lost. ``memo``, here
+    and in the other scorers, is the batch's memo for ``validate_format``.
     """
     check_grid(grid)
-    verdict = validate_format(target_format, prediction, tuning)
+    verdict = validate_format(target_format, prediction, tuning, memo)
     if not verdict.legal and not lenient:
         return _rejection(sample_id, Task.CNC, target_format, tuple(
             f"{v.rule_id}: {v.message}" for v in verdict.violations))
@@ -247,7 +251,8 @@ def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
               weights: MetricWeights = MetricWeights(),
               grid: Fraction = DEFAULT_GRID,
               tuning: Tuning = STANDARD_TUNING,
-              length_cap: int | None = None) -> TaskResult:
+              length_cap: int | None = None,
+              memo: dict | None = None) -> TaskResult:
     """Score a transcription in the sample's own format.
 
     Unlike conversion, structural nits do not reject the output: anything
@@ -257,7 +262,8 @@ def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
     """
     check_grid(grid)
     return _conversion_result(sample_id, Task.AST, gt,
-                              validate_format(fmt, prediction, tuning), fmt,
+                              validate_format(fmt, prediction, tuning, memo),
+                              fmt,
                               weights, grid, length_cap)
 
 
@@ -295,14 +301,15 @@ def smg_rules(doc: ScoreDoc,
 def score_smg(sample_id: str, prediction: str, fmt: NotationFormat,
               declared_key: KeySignature | None = None,
               declared_meter: TimeSignature | None = None, *,
-              tuning: Tuning = STANDARD_TUNING) -> TaskResult:
+              tuning: Tuning = STANDARD_TUNING,
+              memo: dict | None = None) -> TaskResult:
     """Grade a generated piece on the five structural rules.
 
     The declared meter is prompt context only; arithmetic is judged
     against the meter the piece itself declares, and a mismatch with the
     request is surfaced as a diagnostic.
     """
-    verdict = validate_format(fmt, prediction, tuning)
+    verdict = validate_format(fmt, prediction, tuning, memo)
     diagnostics = [f"{v.rule_id}: {v.message}" for v in verdict.violations]
     doc = verdict.doc
     if doc is None:

@@ -31,3 +31,19 @@ def test_five_times_the_text_takes_at_most_six_times_as_long(prediction,
     rounds = timings(fmt, (20_000, 100_000), 7, prediction)
     ratio = statistics.median(long / short for short, long in rounds)
     assert ratio <= 6, f"{fmt}: 100 KB takes {ratio:.2f} times 20 KB"
+
+
+def _chord_prediction(closed: bool):
+    """Staff with one chord of at least ``size`` characters, closed or not."""
+    def prediction(fmt: str, size: int) -> str:
+        return ("X:1\nM:4/4\nL:1/4\nK:C\n[" + "CDEF" * (size // 4)
+                + ("]|\n" if closed else "|\n"))
+    return prediction
+
+
+@pytest.mark.parametrize("closed", [True, False],
+                         ids=["chord", "unterminated-chord"])
+def test_a_chord_five_times_longer_takes_at_most_six_times_as_long(closed):
+    rounds = timings("staff", (20_000, 100_000), 7, _chord_prediction(closed))
+    ratio = statistics.median(long / short for short, long in rounds)
+    assert ratio <= 6, f"a 100 KB chord takes {ratio:.2f} times a 20 KB one"
