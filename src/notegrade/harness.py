@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import os
 from collections import namedtuple
-from contextvars import ContextVar
 from fractions import Fraction
 from functools import cache, cached_property
 from json.encoder import encode_basestring_ascii as _quote
@@ -19,7 +18,7 @@ from typing import NamedTuple
 
 from .errors import (ConfigError, ParseError, PitchError, SchemaError,
                      json_object, read_input)
-from .metrics import AccuracyScore, MetricWeights
+from .metrics import MetricWeights
 from .parsers import load_ground_truth
 from .pitch import STANDARD_TUNING, KeySignature, Tuning
 from .projection import DEFAULT_GRID, beats_text, check_grid
@@ -38,9 +37,6 @@ from .tasks import (
 )
 
 REPORT_SCHEMA_VERSION = 1
-# The memo of the batch being scored, set by run_batch around its loop:
-# score_sample, whose callers pass (record, config, gt), hands it on.
-_BATCH_MEMO: ContextVar[dict | None] = ContextVar("batch_memo", default=None)
 
 _RECORD_KEYS = {"id", "task", "format", "pred_path", "gt_path", "answer",
                 "declared_key", "declared_meter", "tuning"}
@@ -244,15 +240,16 @@ def score_text(record: SampleRecord, config: EvalConfig,
 
 
 def score_sample(record: SampleRecord, config: EvalConfig,
-                 gt: GroundTruth | None) -> TaskResult:
+                 gt: GroundTruth | None,
+                 memo: dict | None = None) -> TaskResult:
     """Score one sample; ground truth, when needed, is loaded by the caller,
-    and the memo is that of the batch being run, if any."""
+    and ``memo`` is the memo of resolved text of its batch, if any."""
     try:
         prediction, diagnostics = read_input(record.pred_path, model=True), ()
     except OSError as exc:
         prediction = ""
         diagnostics = (f"prediction unreadable, scored as empty: {exc}",)
-    result = score_text(record, config, gt, prediction, _BATCH_MEMO.get())
+    result = score_text(record, config, gt, prediction, memo)
     if diagnostics:
         result = result._replace(diagnostics=diagnostics + result.diagnostics)
     return result
@@ -371,25 +368,20 @@ def run_batch(records: tuple[SampleRecord, ...],
     """Score every sample and assemble a deterministic report.
 
     Ground truth is loaded up front so corrupt benchmark data aborts the
-    run before any scoring happens. One memo, made here and dropped with
-    the batch, lets the parsers resolve each distinct text once.
+    run before any scoring happens. One memo, made here and passed to the
+    parsers as an argument, lets them resolve each distinct text once.
     """
     if isinstance(workers, bool) or not isinstance(workers, int) \
             or workers < 1:
         raise ConfigError(f"workers must be an integer >= 1, got {workers!r}")
     memo: dict = {}
-    token = _BATCH_MEMO.set(memo)
-    try:
-        # Each ground-truth file is loaded and projected once, in manifest
-        # order.
-        ground_truths = {
-            path: projected(load_ground_truth(path, memo), config.grid)
-            for path in dict.fromkeys(r.gt_path for r in records if r.gt_path)}
-        ordered = sorted(records, key=lambda r: r.id)
-        results = tuple(score_sample(r, config, ground_truths.get(r.gt_path))
-                        for r in ordered)
-    finally:
-        _BATCH_MEMO.reset(token)
+    # Each ground-truth file is loaded and projected once, in manifest order.
+    ground_truths = {
+        path: projected(load_ground_truth(path, memo), config.grid)
+        for path in dict.fromkeys(r.gt_path for r in records if r.gt_path)}
+    ordered = sorted(records, key=lambda r: r.id)
+    results = tuple(score_sample(r, config, ground_truths.get(r.gt_path), memo)
+                    for r in ordered)
 
     warnings = []
     present = {record.task for record in records}
@@ -465,10 +457,7 @@ def _json_chunks(data: dict):
     yield "\n}\n"
 
 
-# The keys of a per-sample entry, and of its accuracy and rule objects.
-_ENTRY_KEYS = {*TaskResult._fields, "normalized", "format", "aesthetic",
-               "fingering"}
-_ACCURACY_KEYS = {*AccuracyScore._fields, "value_exact"}
+# The keys of a rule object, in the order they are written.
 _RULE_KEYS = sorted(SmgRuleReport._fields)
 
 
@@ -476,7 +465,7 @@ def _accuracy_text(a, pad: str, s=_SCALARS) -> str:
     """``json_text(a, pad)`` for an accuracy object or None."""
     if a is None:
         return "null"
-    if type(a) is not dict or a.keys() != _ACCURACY_KEYS:
+    if type(a) is not dict:
         raise KeyError(a)
     i = pad + "  "
     return (f'{{{i}"edit_distance": {s[type(x := a["edit_distance"])](x)},'
@@ -487,16 +476,16 @@ def _accuracy_text(a, pad: str, s=_SCALARS) -> str:
 
 
 def _entry_text(entry: dict, pad: str, s=_SCALARS) -> str:
-    """``json_text(entry, pad)`` for a per-sample entry, in fewer steps:
-    its keys, and those of its objects, are written in a known order. An
-    entry of another shape, or holding a value of another type (``s``
-    has no key for it), goes through ``json_text``, and fails as it does."""
+    """``json_text(entry, pad)`` for an entry as ``Report.to_json_dict``
+    makes it, in fewer steps: its keys, and those of its objects, are
+    written in a known order. A missing key, or a value of another type
+    (``s`` has no key for it), sends the entry through ``json_text``,
+    which writes it or fails as it does."""
     i, j = pad + "  ", pad + "    "
     try:
         rules, notes = entry["rules"], entry["diagnostics"]
-        if entry.keys() != _ENTRY_KEYS or type(notes) is not list or (
-                rules is not None and (type(rules) is not dict
-                                       or rules.keys() != set(_RULE_KEYS))):
+        if type(notes) is not list or (rules is not None
+                                       and type(rules) is not dict):
             raise KeyError(entry)
         rules = "null" if rules is None else f"{{{j}" + f",{j}".join([
             f'"{key}": {s[type(x := rules[key])](x)}' for key in _RULE_KEYS

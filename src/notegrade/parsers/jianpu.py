@@ -16,10 +16,10 @@ measure it spans.
 
 Reading a body: a line splits into words with one ``str.split``, a
 ``|`` word closing a measure, and each distinct word is resolved once
-per batch: the caller's memo keeps each resolution under the key it
-was resolved in, and only resolutions that succeed. One more memo, per
-parse, skips repeated text: each line read from and left in a clean
-state (a barline seen, nothing pending, no opening dash).
+per batch, a degree by ``pitch.jianpu_to_midi``: the memo passed in
+keeps each resolution under the key it was resolved in, if it succeeds.
+One more memo, per parse, skips repeated text: each line read from and
+left in a clean state (a barline seen, nothing pending, no opening dash).
 """
 
 from __future__ import annotations
@@ -28,8 +28,7 @@ import re
 from itertools import islice
 
 from ..errors import ParseError, PitchError
-from ..pitch import (MAJOR_SCALE_SEMITONES, MIDI_MAX, MIDI_MIN, JianpuNote,
-                     KeySignature, jianpu_to_midi)
+from ..pitch import JianpuNote, KeySignature, jianpu_to_midi
 from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat, ScoreDoc,
                      TimeSignature, Violation, beats_to_ticks, split_lines)
 
@@ -75,10 +74,7 @@ def _resolve_token(token: str,
                               rule_id="jianpu.duration_resolution")
     if degree == 0:
         return duration, ()
-    midi = key.base_midi + MAJOR_SCALE_SEMITONES[degree - 1] + 12 * octave_mod
-    if MIDI_MIN <= midi <= MIDI_MAX:
-        return duration, (midi,)
-    try:  # out of range: the checked call raises, with its message
+    try:
         return duration, (jianpu_to_midi(JianpuNote(degree, octave_mod), key),)
     except PitchError as exc:
         raise ParseError(str(exc), rule_id="jianpu.pitch_range") from None

@@ -11,29 +11,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from differential import PINNED_COUNT, PINNED_SEEDS, staff_or_jianpu, tab
+from differential import PINNED_COUNT, PINNED_SEEDS, staff_or_jianpu, texts
 from notegrade import harness
 from notegrade.harness import (EvalConfig, Report, SampleRecord,
                                _entry_text, _json_chunks, json_text,
                                load_manifest, run_batch)
 from notegrade.metrics import AccuracyScore
 from notegrade.parsers import abc_notation, jianpu, validate_format
-from notegrade.score import NotationFormat
+from notegrade.pitch import KeySignature
+from notegrade.score import NotationFormat, TimeSignature
 from notegrade.tasks import SmgRuleReport, Task, TaskResult
 
 
 def _corpus():
     """The documents whose verdicts ``tests/data/differential.json`` pins."""
     for seed in PINNED_SEEDS:
-        rng = random.Random(f"differential:{seed}")
-        for n in range(PINNED_COUNT):
-            fmt = ("staff", "jianpu", "tab")[n % 3]
-            text, _ = tab(rng) if fmt == "tab" else staff_or_jianpu(rng, fmt)
-            yield NotationFormat(fmt), text
+        for _, fmt, _, text, tuning in texts(seed, PINNED_COUNT):
+            yield NotationFormat(fmt), text, tuning
 
 
-def _verdict(fmt, text, memo):
-    verdict = validate_format(fmt, text, memo=memo)
+def _verdict(fmt, text, tuning, memo):
+    verdict = validate_format(fmt, text, tuning, memo)
     error = verdict.error
     return (verdict.violations, verdict.doc, None if error is None else
             (error.rule_id, error.message, error.line, error.column))
@@ -41,14 +39,31 @@ def _verdict(fmt, text, memo):
 
 def test_a_shared_memo_changes_no_verdict():
     corpus = list(_corpus())
-    alone = [_verdict(fmt, text, None) for fmt, text in corpus]
+    alone = [_verdict(*doc, None) for doc in corpus]
     shared: dict = {}
-    assert [_verdict(fmt, text, shared) for fmt, text in corpus] == alone
+    assert [_verdict(*doc, shared) for doc in corpus] == alone
     shared = {}
-    backwards = [_verdict(fmt, text, shared) for fmt, text in reversed(corpus)]
+    backwards = [_verdict(*doc, shared) for doc in reversed(corpus)]
     assert backwards[::-1] == alone
     assert any(key[0] == "abc" for key in shared)
     assert any(key[0] == "jianpu" for key in shared)
+
+
+def _count_resolutions(monkeypatch) -> dict[str, int]:
+    """Calls of the staff and jianpu parsers' resolvers, counted from now."""
+    calls = {"abc": 0, "jianpu": 0}
+
+    def counted(name, original):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(abc_notation, "_resolve",
+                        counted("abc", abc_notation._resolve))
+    monkeypatch.setattr(jianpu, "_resolve_token",
+                        counted("jianpu", jianpu._resolve_token))
+    return calls
 
 
 def test_the_memo_dies_with_its_batch(tmp_path, monkeypatch):
@@ -66,25 +81,37 @@ def test_the_memo_dies_with_its_batch(tmp_path, monkeypatch):
             "declared_meter": "4/4"}))
     manifest = tmp_path / "manifest.jsonl"
     manifest.write_text("\n".join(lines) + "\n", "utf-8")
-    calls = {"abc": 0, "jianpu": 0}
-
-    def counted(name, original):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return original(*args, **kwargs)
-        return wrapper
-
-    monkeypatch.setattr(abc_notation, "_resolve",
-                        counted("abc", abc_notation._resolve))
-    monkeypatch.setattr(jianpu, "_resolve_token",
-                        counted("jianpu", jianpu._resolve_token))
+    calls = _count_resolutions(monkeypatch)
     records = load_manifest(manifest)
     run_batch(records)
     first = dict(calls)
     run_batch(records)
     assert first["abc"] > 0 and first["jianpu"] > 0
     assert calls == {name: 2 * count for name, count in first.items()}
-    assert harness._BATCH_MEMO.get() is None
+
+
+@pytest.mark.parametrize("fmt, text", [
+    ("staff", "X:1\nM:4/4\nL:1/4\nK:C\nC C C C|]\n"),
+    ("jianpu", "1=C\n1 1 1 1 |\n")], ids=["staff", "jianpu"])
+def test_score_sample_resolves_through_the_memo_it_is_given(
+        tmp_path, monkeypatch, fmt, text):
+    """Calls sharing a memo resolve the repeated note once between them;
+    without one, each call resolves it again."""
+    (tmp_path / "pred.txt").write_text(text, "utf-8")
+    record = SampleRecord("s", Task.SMG, NotationFormat(fmt),
+                          tmp_path / "pred.txt",
+                          declared_key=KeySignature.parse("C"),
+                          declared_meter=TimeSignature(4, 4))
+    calls = _count_resolutions(monkeypatch)
+    name = "abc" if fmt == "staff" else "jianpu"
+    memo: dict = {}
+    shared = [harness.score_sample(record, EvalConfig(), None, memo)
+              for _ in range(2)]
+    assert calls[name] == 1
+    alone = [harness.score_sample(record, EvalConfig(), None)
+             for _ in range(2)]
+    assert calls[name] == 3
+    assert shared == alone and shared[0].valid
 
 
 # Text that JSON escapes: quotes, backslashes, control and non-ASCII.
@@ -137,7 +164,7 @@ def test_entries_are_written_as_json_text_writes_them(drawn):
 def test_an_entry_of_another_shape_is_written_by_json_text():
     entry = TaskResult("x", Task.VSU, correct=True).to_json_dict()
     entry.update(format="staff", aesthetic=None, fingering=None)
-    for changed in ({"extra": 1}, {"valid": 1}, {"hybrid": [0.5]},
+    for changed in ({"valid": 1}, {"hybrid": [0.5]},
                     {"acc_pitch": {"value": 1.0}}, {"rules": {"a": True}},
                     {"diagnostics": [None, {}]}, {"task": {"a": []}}):
         other = {**entry, **changed}

@@ -1,3 +1,4 @@
+import argparse
 import importlib.util
 import json
 import os
@@ -10,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from notegrade.cli import main
+from notegrade.cli import _ENV_KEYS, build_parser, main
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -728,3 +729,31 @@ def test_predictions_score_alike_whatever_their_line_ends(tmp_path, capsys,
         assert entries[f"{n}-{other}"] == entries[f"{n}-{lf}"]
     assert [verdicts[f"{n}-{lf}"]["legal"] for n in range(2)] == [True, False]
     assert entries[f"1-{lf}"]["diagnostics"]
+
+
+def _readme_section(title: str) -> str:
+    """The text of README's ``## title`` section."""
+    text = (REPO_ROOT / "README.md").read_text("utf-8")
+    return text.split(f"\n## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_names_every_option_setting_and_report_key():
+    """README "Configuration" names every long option of every command and
+    every key of the ``NOTEGRADE_CONFIG`` file; "Reports" names every
+    top-level key of a batch report."""
+    [commands] = [action.choices for action in build_parser()._actions
+                  if isinstance(action, argparse._SubParsersAction)]
+    options = {option for command in commands.values()
+               for action in command._actions
+               for option in action.option_strings if option[:2] == "--"}
+    assert {"--manifest", "--external-scores", "--key"} <= options
+    config = _readme_section("Configuration")
+    assert [option for option in sorted(options) if not re.search(
+        rf"(?<![\w-]){option}(?![\w-])", config)] == []
+    assert [key for key in sorted(_ENV_KEYS)
+            if not re.search(f"[`\"]{key}[`\"]", config)] == []
+    report = json.loads(
+        (REPO_ROOT / "tests" / "data" / "golden" / "expected_report.json")
+        .read_text("utf-8"))
+    reports = _readme_section("Reports")
+    assert [key for key in sorted(report) if f"`{key}`" not in reports] == []

@@ -243,9 +243,9 @@ def test_run_batch_scores_serially_in_id_order(tmp_path, monkeypatch):
     calls = []
     original = harness.score_sample
 
-    def spy(record, config, gt):
+    def spy(record, config, gt, memo=None):
         calls.append((record.id, threading.get_ident()))
-        return original(record, config, gt)
+        return original(record, config, gt, memo)
 
     monkeypatch.setattr(harness, "score_sample", spy)
     run_batch(records, EvalConfig(), workers=4)
