@@ -167,15 +167,11 @@ def _cmd_project(args: argparse.Namespace, env: dict) -> int:
         return 0
     fmt = NotationFormat.parse(args.format)
     text = read_input(args.input, args.input, ConfigError, model=True)
-    try:
-        if fmt is NotationFormat.JIANPU and args.key is not None:
-            from .parsers.jianpu import parse_jianpu
-            doc = parse_jianpu(text, key_override=KeySignature.parse(args.key))
-        else:
-            doc = parse_document(fmt, text, config.tuning)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    if fmt is NotationFormat.JIANPU and args.key is not None:
+        from .parsers.jianpu import parse_jianpu
+        doc = parse_jianpu(text, key_override=KeySignature.parse(args.key))
+    else:
+        doc = parse_document(fmt, text, config.tuning)
     out = {"format": doc.format.value, "key": doc.key.name,
            "meter": doc.meter.text}
     out.update(sequence_to_json_dict(project(doc)))

@@ -9,10 +9,10 @@ through the measure.
 Reading a body: one ``findall`` lists a line's items, barlines
 included, and each distinct item, pitch and length text is resolved
 once per batch: the caller's memo keeps each resolution under the key
-and unit length it depends on, and only resolutions that succeed. One
-more memo, per parse, skips repeated text: each line read from and
-left in a clean state (a measure closed before it, so "|" opens no
-empty measure, and nothing pending after it).
+and unit length it depends on, and only resolutions that succeed; a
+measure shares them. One more memo, per parse, skips repeated text:
+each line read from and left in a clean state (a measure closed before
+it, so "|" opens no empty measure, and nothing pending after it).
 """
 
 from __future__ import annotations
@@ -23,8 +23,8 @@ from itertools import islice
 
 from ..errors import ParseError, PitchError
 from ..pitch import LETTER_SEMITONES, KeySignature, check_midi, sort_chord
-from ..score import (Event, Measure, NotationFormat, ScoreDoc,
-                     TimeSignature, Violation, beats_to_ticks, split_lines)
+from ..score import (Measure, NotationFormat, ScoreDoc, TimeSignature,
+                     Violation, beats_to_ticks, split_lines)
 
 # Circle-of-fifths signature sizes for the standard major keys; positive
 # counts are sharps, negative are flats.
@@ -159,9 +159,8 @@ def _parse_body(body: list[tuple[int, str]], key_name: str, unit: Fraction,
     sounds, parts = memo.setdefault(("abc", key_name, unit_beats), ({}, {}))
     line_of: dict[str, tuple[Measure, ...]] = {}
     measures: list[Measure] = []
-    pending: list[Event] = []
-    onset = 0
-    new = tuple.__new__
+    pending: list[tuple] = []  # the sounds of the open measure
+    ties: list[int] = []  # the indices in ``pending`` of its tied sounds
     lines = iter(body)
     for line_no, text in lines:
         first = len(measures)
@@ -175,8 +174,8 @@ def _parse_body(body: list[tuple[int, str]], key_name: str, unit: Fraction,
             if sound is None:
                 if item[0] == "|":
                     if pending:
-                        measures.append(Measure.trusted(tuple(pending)))
-                        pending, onset = [], 0
+                        measures.append(Measure(tuple(pending), tuple(ties)))
+                        pending, ties = [], []
                     elif measures:
                         raise _error("empty measure", line_no,
                                      _item_start(text, k))
@@ -193,14 +192,14 @@ def _parse_body(body: list[tuple[int, str]], key_name: str, unit: Fraction,
                                              after_no, found.start(1))
                     continue
                 if item == "-":
-                    # A tied last event means the item before was a tie too.
-                    if not pending or pending[-1][3]:
+                    # A tied last sound means the item before was a tie too.
+                    if not pending or ties and ties[-1] == len(pending) - 1:
                         raise _error("tie must directly follow a note",
                                      line_no, _item_start(text, k))
-                    if not pending[-1][2]:
+                    if not pending[-1][1]:
                         raise _error("rests cannot be tied", line_no,
                                      _item_start(text, k))
-                    pending[-1] = new(Event, (*pending[-1][:3], True))
+                    ties.append(len(pending) - 1)
                     continue
                 try:
                     sound = sounds[item] = _resolve(
@@ -208,13 +207,11 @@ def _parse_body(body: list[tuple[int, str]], key_name: str, unit: Fraction,
                 except ParseError as exc:
                     exc.column += _item_start(text, k)
                     raise
-            ticks, pitches = sound
-            pending.append(new(Event, (onset, ticks, pitches, False)))
-            onset += ticks
+            pending.append(sound)
         if clean and not pending:
             line_of[text] = tuple(measures[first:])
     if pending:
-        measures.append(Measure.trusted(tuple(pending)))
+        measures.append(Measure(tuple(pending), tuple(ties)))
     if not measures:
         raise ParseError("tune body contains no music", rule_id="abc.parse")
     # Without a measure pending, the last item closed one: a barline.

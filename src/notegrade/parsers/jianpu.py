@@ -17,9 +17,10 @@ measure it spans.
 Reading a body: a line splits into words with one ``str.split``, a
 ``|`` word closing a measure, and each distinct word is resolved once
 per batch, a degree by ``pitch.jianpu_to_midi``: the memo passed in
-keeps each resolution under the key it was resolved in, if it succeeds.
-One more memo, per parse, skips repeated text: each line read from and
-left in a clean state (a barline seen, nothing pending, no opening dash).
+keeps each resolution under the key it was resolved in, if it succeeds,
+and a measure shares them. One more memo, per parse, skips repeated
+text: each line read from and left in a clean state (a barline seen,
+nothing pending, no opening dash).
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from itertools import islice
 
 from ..errors import ParseError, PitchError
 from ..pitch import JianpuNote, KeySignature, jianpu_to_midi
-from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat, ScoreDoc,
+from ..score import (TICKS_PER_BEAT, Measure, NotationFormat, ScoreDoc,
                      TimeSignature, Violation, beats_to_ticks, split_lines)
 
 _DIRECTIVE_RE = re.compile(r"1=([A-G][#b]?)(?:\s+([0-9]+/[0-9]+))?")
@@ -114,15 +115,14 @@ def parse_jianpu(text: str,
         key = key_override
 
     closed: list[Measure] = []
-    pending: list[Event] = []
-    onset = 0
+    pending: list[tuple] = []  # the sounds of the open measure
+    ties: list[int] = []  # the indices in ``pending`` of its tied sounds
     bar_seen = False
     # The duration in ticks and the pitches of each distinct note or rest.
     resolved = {} if memo is None else memo.setdefault(("jianpu", key), {})
     # The measures each line read from a clean state closed (see the
     # module docstring).
     line_of: dict[str, tuple[Measure, ...]] = {}
-    new = tuple.__new__
     for line_no, line in lines[directive_idx + 1:]:
         clean = bar_seen and not pending
         if clean and line in line_of:
@@ -133,8 +133,8 @@ def parse_jianpu(text: str,
             sound = resolved.get(word)
             if sound is None and word == "|":
                 if pending:
-                    closed.append(Measure.trusted(tuple(pending)))
-                    pending, onset = [], 0
+                    closed.append(Measure(tuple(pending), tuple(ties)))
+                    pending, ties = [], []
                 elif bar_seen:
                     raise ParseError("empty measure", line=line_no,
                                      column=_column(line, n),
@@ -142,36 +142,34 @@ def parse_jianpu(text: str,
                 bar_seen = True
                 continue
             if sound is None and word == "-":
-                # Hold the event before one beat more, across a barline
-                # too; a closed measure is rebuilt, never changed, as it
-                # may be shared.
+                # Tie the sound before (never tied yet) to one beat more,
+                # across a barline too; a closed measure is rebuilt, never
+                # changed, as it may be shared.
                 if pending:
-                    last = new(Event, (*pending[-1][:3], True))
-                    pending[-1] = last
+                    ties.append(len(pending) - 1)
+                    held = pending[-1]
                 elif closed:
-                    *held, last = closed[-1].events
-                    last = new(Event, (*last[:3], True))
-                    closed[-1] = Measure.trusted((*held, last))
+                    sounds, tied = closed[-1]
+                    closed[-1] = Measure(sounds, (*tied, len(sounds) - 1))
+                    held = sounds[-1]
                 else:
                     raise ParseError(
                         "dash has no note to continue", line=line_no,
                         column=_column(line, n), rule_id="jianpu.parse")
-                sound = (TICKS_PER_BEAT, last[2])
+                sound = (TICKS_PER_BEAT, held[1])
             elif sound is None:
                 try:
                     sound = resolved[word] = _resolve_token(word, key)
                 except ParseError as exc:
                     exc.line, exc.column = line_no, _column(line, n)
                     raise
-            duration, pitches = sound
-            pending.append(new(Event, (onset, duration, pitches, False)))
-            onset += duration
+            pending.append(sound)
         if clean and not pending and not line.lstrip().startswith("-"):
             line_of[line] = tuple(closed[first:])
 
     final_barline = not pending
     if pending:
-        closed.append(Measure.trusted(tuple(pending)))
+        closed.append(Measure(tuple(pending), tuple(ties)))
     if not closed:
         raise ParseError("no music after key directive", rule_id="jianpu.parse")
 

@@ -9,7 +9,8 @@ rhythm, so frames within a measure are spaced one beat apart, and the
 key and meter default to C and 4/4.
 
 Reading a body: each distinct segment (six slices between barlines) is
-built once, from one sweep per string over its distinct slices.
+built once, a sound per frame, from one sweep per string over its
+distinct slices.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from ..pitch import (
     Tuning,
     tab_to_midi,
 )
-from ..score import (TICKS_PER_BEAT, Event, Measure, NotationFormat, ScoreDoc,
+from ..score import (TICKS_PER_BEAT, Measure, NotationFormat, ScoreDoc,
                      TimeSignature, split_lines)
 
 STRING_LABELS = ("e|", "B|", "G|", "D|", "A|", "E|")
@@ -136,15 +137,13 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
     # Each distinct segment is a measure of its frames, a beat apart;
     # segment k of the joined slices ends before ends[k].
     ends = list(accumulate(len(slices[0][i]) + 1 for i in distinct))
-    events: list[list[Event]] = [[] for _ in ends]
+    sounds: list[list[tuple]] = [[] for _ in ends]
     k = 0
     for index in sorted(frames):
         while index >= ends[k]:
             k += 1
-        events[k].append(tuple.__new__(Event, (
-            len(events[k]) * TICKS_PER_BEAT, TICKS_PER_BEAT,
-            tuple(sorted(frames[index])), False)))
-    measure_of = dict(zip(distinct, map(Measure.trusted, map(tuple, events))))
+        sounds[k].append((TICKS_PER_BEAT, tuple(sorted(frames[index]))))
+    measure_of = dict(zip(distinct, (Measure(tuple(s), ()) for s in sounds)))
     # Each segment is a measure, even a silent one, but one of zero width
     # is none, and the one after the last barline is one only when it
     # holds notes.
@@ -152,7 +151,7 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
     zero_width = first_of.get(_ZERO_WIDTH, -1)
     measures = list(map(measure_of.__getitem__,
                         filter(zero_width.__ne__, segments)))
-    if last.events:
+    if last.sounds:
         measures.append(last)
 
     return ScoreDoc(
@@ -160,7 +159,7 @@ def parse_ascii_tab(text: str, tuning: Tuning = STANDARD_TUNING) -> ScoreDoc:
         key=_KEY,
         meter=_METER,
         measures=tuple(measures),
-        final_barline=bool(segments) and not last.events,
+        final_barline=bool(segments) and not last.sounds,
     )
 
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import chain, compress
-from operator import attrgetter, itemgetter
+from itertools import compress
+from operator import itemgetter
 from typing import NamedTuple
 
 from .errors import ConfigError
@@ -20,8 +20,7 @@ from .metrics import require_exact
 from .score import TICKS_PER_BEAT, GroundTruth, ScoreDoc
 
 DEFAULT_GRID = Fraction(1, 4)
-_EVENTS = attrgetter("events")
-_COLUMNS = itemgetter(1), itemgetter(2), itemgetter(3)  # ticks, pitches, tie
+_TICKS, _PITCHES = itemgetter(0), itemgetter(1)
 
 
 class CanonicalSequence(NamedTuple):
@@ -46,15 +45,17 @@ class CanonicalSequence(NamedTuple):
 def project(doc: ScoreDoc) -> CanonicalSequence:
     """Flatten a document into canonical pitch and duration streams.
 
-    An event joins the unit before it when the event before it is tied
-    and has the same pitches; the unit lasts as long as its events.
+    A sound joins the unit before it when the sound before it is tied
+    and has the same pitches; the unit lasts as long as its sounds.
     """
-    events = list(chain.from_iterable(map(_EVENTS, doc.measures)))
-    # Not zip(*events): that makes an iterator per event, and on a long
-    # document the garbage collector keeps stopping to scan them.
-    ticks, pitches, tied = (list(map(column, events)) for column in _COLUMNS)
-    joined = [j for j in compress(range(1, len(tied)), tied)
-              if pitches[j] == pitches[j - 1]]
+    sounds, tied = [], []  # tied: indices into sounds, ascending
+    for measure_sounds, measure_tied in doc.measures:
+        if measure_tied:
+            tied += [len(sounds) + i for i in measure_tied]
+        sounds += measure_sounds
+    ticks, pitches = list(map(_TICKS, sounds)), list(map(_PITCHES, sounds))
+    joined = [i + 1 for i in tied
+              if i + 1 < len(sounds) and pitches[i + 1] == pitches[i]]
     if joined:
         keep = [True] * len(ticks)
         for j in joined:

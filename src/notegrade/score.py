@@ -2,7 +2,8 @@
 
 Durations and onsets are whole ticks, ``TICKS_PER_BEAT`` to the
 quarter-note beat: a 4/4 measure holds 4 beats, a 6/8 measure holds 3.
-They read back as exact ``Fraction`` beats through properties.
+They read back as exact ``Fraction`` beats through properties. A parsed
+measure stores no onsets: each is the sum of the durations before it.
 
 Records here and across the package are immutable named tuples, equal
 and hashed by value. One that checks its fields subclasses a
@@ -110,7 +111,7 @@ class Event(tuple):
 
     ``tied`` marks an event joined to the next same-pitch event, to be
     merged during projection. ``Event(onset_beats, ...)`` checks its
-    arguments; the parsers build valid events from ticks with ``trusted``.
+    arguments; ``Measure.events`` builds valid ones with ``trusted``.
     An event is the tuple ``(onset_ticks, duration_ticks, pitches, tied)``.
     """
 
@@ -161,28 +162,38 @@ class Event(tuple):
         return not self[2]
 
 
-class Measure(namedtuple("Measure", "events")):
-    """The events of one measure. ``Measure(events)`` checks that their
-    onsets do not decrease; the parsers, whose onsets are running sums,
-    build measures with ``trusted``."""
+class Measure(namedtuple("Measure", "sounds tied")):
+    """A measure's sounds in order, each a ``(duration_ticks, pitches)``
+    pair its parser resolved, and the ascending indices of those tied to
+    the next; ``events`` derives their onsets."""
 
     __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # _replace uses it
-
-    def __new__(cls, events: tuple[Event, ...] = ()) -> "Measure":
-        onsets = [e.onset_ticks for e in events]
-        if onsets != sorted(onsets):
-            raise ParseError("event onsets within a measure must be non-decreasing")
-        return super().__new__(cls, events)
 
     @classmethod
-    def trusted(cls, events: tuple[Event, ...]) -> "Measure":
-        """A measure the caller guarantees valid, built without checks."""
-        return tuple.__new__(cls, (events,))
+    def of(cls, events: tuple[Event, ...]) -> "Measure":
+        """The measure of ``events``, each of which must start where the
+        one before ends, the first at 0."""
+        end = 0
+        for onset, duration, *_ in events:
+            if onset != end:
+                raise ParseError(f"event onset {onset} must be {end} ticks: "
+                                 "each starts where the one before ends")
+            end += duration
+        return cls(tuple((e[1], e[2]) for e in events),
+                   tuple(i for i, e in enumerate(events) if e[3]))
+
+    @property
+    def events(self) -> tuple[Event, ...]:
+        """The measure as ``Event``s, built on each call."""
+        tied, events, onset = set(self.tied), [], 0
+        for i, (ticks, pitches) in enumerate(self.sounds):
+            events.append(Event.trusted(onset, ticks, pitches, i in tied))
+            onset += ticks
+        return tuple(events)
 
     @property
     def duration_ticks(self) -> int:
-        return sum(map(itemgetter(1), self.events))
+        return sum(ticks for ticks, _ in self.sounds)
 
     @property
     def duration_sum(self) -> Fraction:

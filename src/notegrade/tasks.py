@@ -15,8 +15,8 @@ import enum
 import re
 from collections import namedtuple
 from fractions import Fraction
-from itertools import chain, repeat
-from operator import add, attrgetter, itemgetter
+from itertools import repeat
+from operator import itemgetter
 from typing import NamedTuple
 
 from .metrics import (AccuracyScore, MetricWeights, alignment_accuracy,
@@ -48,8 +48,7 @@ class Task(enum.Enum):
 
 
 _TASKS = {task.value: task for task in Task}
-_EVENTS = attrgetter("events")
-_ONSET, _DURATION, _PITCHES = itemgetter(0), itemgetter(1), itemgetter(2)
+_TICKS, _PITCHES = itemgetter(0), itemgetter(1)
 SMG_RULE_COUNT = 5
 _ZERO, _ONE = Fraction(0), Fraction(1)
 
@@ -270,25 +269,24 @@ def score_ast(sample_id: str, gt: GroundTruth, prediction: str,
 def smg_rules(doc: ScoreDoc,
               declared_key: KeySignature | None) -> SmgRuleReport:
     """Evaluate the five generation rules on a parsed piece, each distinct
-    measure object (a parser's memo shares one among copies) once."""
+    measure object (a parser's memo shares one among copies) once. A
+    measure ends at the sum of its durations, its sounds following each
+    other from its barline."""
     capacity = doc.meter.ticks
     complete = doc.measures if doc.final_barline else doc.measures[:-1]
-    distinct = dict(zip(map(id, doc.measures), map(_EVENTS, doc.measures)))
-    events = list(distinct.values())
-    full = dict(zip(distinct, map(capacity.__eq__, map(
-        sum, map(map, repeat(_DURATION), events)))))
-    measure_arith_ok = all(map(full.__getitem__, map(id, complete)))
+    distinct = {id(m): m.sounds for m in doc.measures}
+    sounds = list(distinct.values())
+    ends = dict(zip(distinct, map(sum, map(map, repeat(_TICKS), sounds))))
+    measure_arith_ok = all(ends[id(m)] == capacity for m in complete)
     if doc.format is NotationFormat.ASCII_TAB or declared_key is None:
         key_consistent = True
     else:
         key_consistent = doc.key.tonic == declared_key.tonic
-    rests_legal = all(map(any, map(map, repeat(_PITCHES), events)))
-    flat = list(chain.from_iterable(events))
+    rests_legal = all(map(any, map(map, repeat(_PITCHES), sounds)))
     structure_ok = (
         len(complete) >= 2
         and doc.final_barline
-        and max(map(add, map(_ONSET, flat), map(_DURATION, flat)),
-                default=0) <= capacity)
+        and max(ends.values(), default=0) <= capacity)
     return SmgRuleReport(
         renderable=True,
         measure_arith_ok=measure_arith_ok,

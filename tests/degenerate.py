@@ -12,9 +12,9 @@ seeded draw of eight eighth notes to a measure and four measures to a
 line in staff and jianpu, and four one-fret frames to a measure in tab.
 
 Run as a script to print the CPU time ``score_ast`` takes on a 1 MB
-prediction of each kind in each format, and the CPU time
-``validate_format`` (the parse alone) takes on it (best of three runs
-each):
+prediction of each kind in each format, the CPU time ``validate_format``
+(the parse alone) takes on it (best of three runs each), and the
+``tracemalloc`` peak of one ``validate_format`` call on it, in bytes:
 
     PYTHONPATH=src python3 tests/degenerate.py
 """
@@ -24,6 +24,7 @@ from __future__ import annotations
 import gc
 import random
 import time
+import tracemalloc
 
 from melodies import MELODIES
 from notegrade.parsers import parse_ground_truth, validate_format
@@ -162,6 +163,18 @@ def best_parse_time(fmt: str, text: str, runs: int = 3) -> float:
     return min(times)
 
 
+def parse_peak(fmt: str, text: str) -> int:
+    """The ``tracemalloc`` peak, in bytes, of one ``validate_format``
+    call on ``text``."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        validate_format(NotationFormat(fmt), text)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 if __name__ == "__main__":
     for prediction, formats in ((degenerate_prediction, FORMATS),
                                 (one_line_prediction, LINES),
@@ -170,6 +183,8 @@ if __name__ == "__main__":
         kind = prediction.__name__.removesuffix("_prediction")
         for fmt in formats:
             seconds = best_times(fmt, (1_000_000,), prediction=prediction)[0]
-            parse = best_parse_time(fmt, prediction(fmt, 1_000_000))
+            text = prediction(fmt, 1_000_000)
+            parse = best_parse_time(fmt, text)
             print(f"{kind} {fmt}: score_ast {seconds:.3f} s, "
-                  f"validate_format {parse:.3f} s for 1 MB")
+                  f"validate_format {parse:.3f} s, "
+                  f"peak {parse_peak(fmt, text):,} bytes for 1 MB")

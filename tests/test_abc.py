@@ -208,6 +208,13 @@ def test_zero_duration_rejected():
         _doc("C0|]")
 
 
+def test_slashes_before_a_denominator_are_a_malformed_duration():
+    with pytest.raises(ParseError) as info:
+        _doc("C//3|]")
+    assert (str(info.value), info.value.rule_id) == (
+        "malformed duration (line 5, col 2)", "abc.parse")
+
+
 # Digit runs longer than the interpreter's limit on int() (4,300 digits by
 # default) are ParseErrors, not ValueErrors that escape the scorers.
 

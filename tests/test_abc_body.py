@@ -46,7 +46,7 @@ class _BodyParser:
         for line_no, text in self._body:
             self._scan_line(line_no, text)
         if self._pending:
-            self._measures.append(Measure.trusted(tuple(self._pending)))
+            self._measures.append(Measure.of(tuple(self._pending)))
             final_barline = False
         else:
             final_barline = self._last_was_bar
@@ -85,7 +85,7 @@ class _BodyParser:
             while i < end:
                 i = (i + 1 if text[i].isspace()
                      else self._scan_item(line_no, text, i))
-            measure = Measure.trusted(tuple(self._pending))
+            measure = Measure.of(tuple(self._pending))
             self._measure_of[key] = measure
         return measure
 
@@ -130,7 +130,7 @@ class _BodyParser:
                         "empty measure", line=line_no, column=column,
                         rule_id="abc.parse")
                 return
-            measure = Measure.trusted(tuple(self._pending))
+            measure = Measure.of(tuple(self._pending))
         self._measures.append(measure)
         self._pending = []
         self._onset = 0

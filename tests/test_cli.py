@@ -496,7 +496,8 @@ def test_project_key_flag_rejected_for_staff(tmp_path, capsys):
 def test_project_unparseable_input(tmp_path, capsys):
     path = _write(tmp_path / "tune.abc", "not a tune")
     assert main(["project", "--format", "staff", "--input", path]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == (
+        "error: tune body may not begin before the K: field (line 1, col 1)\n")
 
 
 def test_env_config_weights(tmp_path, monkeypatch, capsys):

@@ -10,7 +10,7 @@ import pytest
 
 from degenerate import (FORMATS, LINES, degenerate_prediction,
                         nonrepeating_prediction, one_line_prediction,
-                        straddling_prediction, timings)
+                        parse_peak, straddling_prediction, timings)
 
 
 @pytest.mark.parametrize("prediction, fmt", [
@@ -47,3 +47,18 @@ def test_a_chord_five_times_longer_takes_at_most_six_times_as_long(closed):
     rounds = timings("staff", (20_000, 100_000), 7, _chord_prediction(closed))
     ratio = statistics.median(long / short for short, long in rounds)
     assert ratio <= 6, f"a 100 KB chord takes {ratio:.2f} times a 20 KB one"
+
+
+# The ``tracemalloc`` peak of parsing a long staff or jianpu prediction
+# in which no measure repeats, in bytes per byte of text. A measure
+# holds the sounds its parser resolved once, about 10 bytes per byte;
+# an object per note took about 40.
+PEAK_BYTES_PER_TEXT_BYTE = 12
+
+
+@pytest.mark.parametrize("fmt", LINES)
+def test_parsing_holds_a_few_bytes_per_byte_of_text(fmt):
+    text = nonrepeating_prediction(fmt, 200_000)
+    peak = parse_peak(fmt, text)
+    assert peak <= PEAK_BYTES_PER_TEXT_BYTE * len(text), (
+        f"{fmt}: a peak of {peak / len(text):.1f} bytes per byte of text")

@@ -112,7 +112,7 @@ def tab_documents(draw):
 
 def _assert_trusted_invariants(doc):
     for measure in doc.measures:
-        assert Measure(measure.events) == measure
+        assert Measure.of(measure.events) == measure
         running = 0
         for event in measure.events:
             rebuilt = Event(event.onset_beats, event.duration_beats,
@@ -571,6 +571,48 @@ def test_public_event_reads_back_in_beats():
 def test_public_event_keeps_its_checks(args, error):
     with pytest.raises(NotegradeError, match=error):
         Event(*args)
+
+
+def test_a_meter_past_the_digit_limit_of_int_is_malformed():
+    text = "9" * 5000 + "/4"
+    with pytest.raises(ParseError) as info:
+        TimeSignature.parse(text)
+    assert str(info.value) == f"meter must look like N/D, got {text!r}"
+
+
+@st.composite
+def following_events(draw):
+    """Events that each start where the one before ends, the first at 0."""
+    events, onset = [], 0
+    for ticks, pitches, tied in draw(st.lists(st.tuples(
+            st.integers(1, 3 * TICKS_PER_BEAT),
+            st.sampled_from([(), (60,), (62, 67)]), st.booleans()),
+            max_size=8)):
+        events.append(Event.trusted(onset, ticks, pitches, tied))
+        onset += ticks
+    return tuple(events)
+
+
+@given(following_events())
+def test_a_measure_gives_back_the_events_it_was_built_of(events):
+    measure = Measure.of(events)
+    assert measure.events == events
+    assert measure.duration_ticks == sum(e.duration_ticks for e in events)
+
+
+@pytest.mark.parametrize("onsets,message", [
+    ((0, 3), "event onset 3 must be 2 ticks"),
+    ((0, 1), "event onset 1 must be 2 ticks"),
+    ((0, 2, 1), "event onset 1 must be 4 ticks"),
+    ((1,), "event onset 1 must be 0 ticks"),
+], ids=["gap", "overlap", "decreasing", "late_start"])
+def test_a_measure_refuses_events_that_do_not_follow_each_other(onsets,
+                                                              message):
+    events = tuple(Event.trusted(onset, 2, (60,)) for onset in onsets)
+    with pytest.raises(ParseError) as info:
+        Measure.of(events)
+    assert str(info.value) == (
+        f"{message}: each starts where the one before ends")
 
 
 def test_every_meter_holds_a_whole_number_of_ticks():

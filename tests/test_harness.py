@@ -546,7 +546,9 @@ def test_eval_config_validation():
     ("ast_length_cap", True, "ast_length_cap must be an integer"),
     ("ast_length_cap", 2.5, "ast_length_cap must be an integer"),
     ("ast_length_cap", Fraction(4), "ast_length_cap must be an integer"),
-], ids=["lenient_str", "lenient_int", "cap_bool", "cap_float", "cap_fraction"])
+    ("ast_length_cap", 0, "ast_length_cap must be >= 1, got 0"),
+], ids=["lenient_str", "lenient_int", "cap_bool", "cap_float", "cap_fraction",
+        "cap_zero"])
 def test_eval_config_checks_field_types(field, value, message):
     """Python callers get the checks the config file gets: a truthy
     string would turn lenient scoring on, and a Fraction cap would crash
@@ -554,6 +556,22 @@ def test_eval_config_checks_field_types(field, value, message):
     with pytest.raises(ConfigError) as err:
         EvalConfig(**{field: value})
     assert str(err.value) == message
+
+
+@pytest.mark.parametrize("fields,message", [
+    ({"task": "smg", "declared_key": "C", "declared_meter": "4/4",
+      "answer": "b"}, "answer only applies to vsu"),
+    ({"task": "vsu", "answer": "b", "declared_key": "C"},
+     "declared_key/declared_meter only apply to smg"),
+    ({"task": "vsu", "answer": "b", "declared_meter": "4/4"},
+     "declared_key/declared_meter only apply to smg"),
+], ids=["answer_outside_vsu", "key_outside_smg", "meter_outside_smg"])
+def test_manifest_refuses_a_field_of_another_task(tmp_path, fields, message):
+    path = _manifest(tmp_path, [{"id": "s1", "format": "staff",
+                                 "pred_path": "p.abc", **fields}])
+    with pytest.raises(SchemaError) as err:
+        load_manifest(path)
+    assert str(err.value) == f"manifest line 1: {message}"
 
 
 @pytest.mark.parametrize("grid", [0.25, True, "1/4"])

@@ -68,8 +68,8 @@ def _doc(measures) -> ScoreDoc:
        st.lists(st.integers(0, 3), min_size=1, max_size=12))
 def test_projection_matches_the_loop_over_events(pool, order):
     # Positions share measure objects, as a parser's memo makes them.
-    pool = [Measure.trusted(tuple(Event.trusted(0, ticks, pitches, tied)
-                                  for pitches, ticks, tied in events))
+    pool = [Measure(tuple((ticks, pitches) for pitches, ticks, _ in events),
+                    tuple(i for i, (*_, tied) in enumerate(events) if tied))
             for events in pool]
     doc = _doc(pool[i % len(pool)] for i in order)
     seq = project(doc)
@@ -77,10 +77,10 @@ def test_projection_matches_the_loop_over_events(pool, order):
 
 
 def test_shared_measure_with_a_tie_into_it_projects_as_its_events():
-    tied_into = Measure((Event(0, 1, (60,)), Event(1, 1, (62,)),
-                         Event(2, 2, (64,), tied=True)))
-    shared = Measure((Event(0, 1, (64,)), Event(1, 1, (65,)),
-                      Event(2, 2, (67,))))
+    tied_into = Measure.of((Event(0, 1, (60,)), Event(1, 1, (62,)),
+                            Event(2, 2, (64,), tied=True)))
+    shared = Measure.of((Event(0, 1, (64,)), Event(1, 1, (65,)),
+                         Event(2, 2, (67,))))
     # The tie joins the shared measure's first unit after tied_into only.
     doc = _doc([tied_into, shared, shared, tied_into, shared] * 4)
     seq = project(doc)

@@ -248,7 +248,7 @@ def _oracle(bodies: list[str], tuning: Tuning):
                                      rule_id="tab.pitch_range") from None
             events.append(Event(Fraction(beat), Fraction(1),
                                 tuple(sort_chord(pitches))))
-        return Measure(tuple(events))
+        return Measure.of(tuple(events))
 
     try:
         measures = [build_measure(lo, hi) for lo, hi in segments if hi > lo]

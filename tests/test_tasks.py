@@ -4,12 +4,11 @@ from fractions import Fraction
 import pytest
 
 from notegrade import parsers, tasks
-from notegrade.errors import ConfigError
+from notegrade.errors import ConfigError, ParseError
 from notegrade.metrics import MetricWeights
 from notegrade.parsers import parse_abc, parse_ground_truth, validators
 from notegrade.pitch import KeySignature
-from notegrade.score import (Event, Measure, NotationFormat, ScoreDoc,
-                             TimeSignature)
+from notegrade.score import Event, Measure, NotationFormat, TimeSignature
 from notegrade.tasks import (
     CapabilityWeights,
     Task,
@@ -233,30 +232,19 @@ def test_smg_incomplete_final_measure_not_counted_in_arith():
     assert not rules.structure_ok
 
 
-def _smg_doc(*measures) -> ScoreDoc:
-    """A 4/4 staff piece of the hand-built ``measures``, ending on a
-    barline."""
-    return ScoreDoc(NotationFormat.ABC_STAFF, KeySignature.parse("C"),
-                    TimeSignature(4, 4), measures)
-
-
-def test_smg_event_past_the_barline_fails_structure():
+def test_a_measure_refuses_an_event_past_the_one_before():
     # Durations sum to the meter's four beats, but the last event starts
-    # late, so it ends after the barline.
-    late = Measure((Event(0, 1, (60,)), Event(1, 1, (62,)),
+    # late, so it would end after the barline: no measure holds it.
+    with pytest.raises(ParseError, match="onset 10240 must be 8192 ticks"):
+        Measure.of((Event(0, 1, (60,)), Event(1, 1, (62,)),
                     Event(Fraction(5, 2), 2, (64,))))
-    rules = smg_rules(_smg_doc(late, late), None)
-    assert rules.measure_arith_ok
-    assert not rules.structure_ok
 
 
-def test_smg_gap_between_onsets_fails_measure_arithmetic():
+def test_a_measure_refuses_a_gap_between_onsets():
     # The last event ends on the barline, but a beat between onsets is
-    # empty, so the durations sum to three beats.
-    gap = Measure((Event(0, 1, (60,)), Event(2, 2, (62,))))
-    rules = smg_rules(_smg_doc(gap, gap), None)
-    assert not rules.measure_arith_ok
-    assert rules.structure_ok
+    # empty: no measure holds it.
+    with pytest.raises(ParseError, match="onset 8192 must be 4096 ticks"):
+        Measure.of((Event(0, 1, (60,)), Event(2, 2, (62,))))
 
 
 def test_smg_key_consistency():
