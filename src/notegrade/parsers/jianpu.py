@@ -118,7 +118,7 @@ def parse_jianpu(text: str,
     pending: list[tuple] = []  # the sounds of the open measure
     ties: list[int] = []  # the indices in ``pending`` of its tied sounds
     bar_seen = False
-    # The duration in ticks and the pitches of each distinct note or rest.
+    # The (ticks, pitches) of each distinct word, and of a dash by pitches.
     resolved = {} if memo is None else memo.setdefault(("jianpu", key), {})
     # The measures each line read from a clean state closed (see the
     # module docstring).
@@ -156,7 +156,7 @@ def parse_jianpu(text: str,
                     raise ParseError(
                         "dash has no note to continue", line=line_no,
                         column=_column(line, n), rule_id="jianpu.parse")
-                sound = (TICKS_PER_BEAT, held[1])
+                sound = resolved.setdefault(held[1], (TICKS_PER_BEAT, held[1]))
             elif sound is None:
                 try:
                     sound = resolved[word] = _resolve_token(word, key)
