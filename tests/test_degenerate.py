@@ -50,9 +50,8 @@ def test_a_chord_five_times_longer_takes_at_most_six_times_as_long(closed):
 
 
 # The ``tracemalloc`` peak of parsing a long staff or jianpu prediction
-# in which no measure repeats, in bytes per byte of text. A measure
-# holds the sounds its parser resolved once, about 10 bytes per byte;
-# an object per note took about 40.
+# in which no measure repeats, in bytes per byte of text: a measure
+# holds the sounds its parser resolved once, about 10 bytes per byte.
 PEAK_BYTES_PER_TEXT_BYTE = 12
 
 
