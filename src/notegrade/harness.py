@@ -304,16 +304,8 @@ class Report(namedtuple("Report",
         return aggregate_capability(self.task_means(), self.config.task_weights)
 
     def to_json_dict(self) -> dict:
-        fmt_of = {record.id: record.format for record in self.records}
-        per_sample = []
-        for result in self.results:
-            entry = result.to_json_dict()
-            entry["format"] = fmt_of[result.sample_id].value
-            scores = self.external.get(result.sample_id)
-            entry["aesthetic"] = None if scores is None else scores.get("aesthetic")
-            entry["fingering"] = None if scores is None else scores.get("fingering")
-            per_sample.append(entry)
-
+        """Every member of the report but ``per_sample``, whose entries
+        ``write_report`` writes from the results themselves."""
         cells = self._cells
         per_task = {}
         for task in Task:
@@ -349,7 +341,6 @@ class Report(namedtuple("Report",
         return {
             "schema_version": REPORT_SCHEMA_VERSION,
             "config": self.config.to_json_dict(),
-            "per_sample": per_sample,
             "per_task": per_task,
             "per_task_format": per_task_format,
             "capability": float(capability),
@@ -440,76 +431,74 @@ def json_text(value, pad: str = "\n") -> str:
     return f"{{{inner}" + f",{inner}".join(items) + f"{pad}}}"
 
 
-def _json_chunks(data: dict):
-    """``json_text(data) + "\\n"`` in pieces, for a non-empty dict."""
-    sep = "{\n  "
-    for key, value in sorted(data.items()):
-        yield f"{sep}{_quote(key)}: "
-        sep = ",\n  "
-        if type(value) is not list or not value:
-            yield json_text(value, "\n  ")
-            continue
-        for i, item in enumerate(value):
-            yield ("[" if i == 0 else ",") + "\n    " + (
-                _entry_text(item, "\n    ") if key == "per_sample"
-                else json_text(item, "\n    "))
-        yield "\n  ]"
-    yield "\n}\n"
-
-
 # The keys of a rule object, in the order they are written.
 _RULE_KEYS = sorted(SmgRuleReport._fields)
 
 
-def _accuracy_text(a, pad: str, s=_SCALARS) -> str:
-    """``json_text(a, pad)`` for an accuracy object or None."""
-    if a is None:
-        return "null"
-    if type(a) is not dict:
-        raise KeyError(a)
-    i = pad + "  "
-    return (f'{{{i}"edit_distance": {s[type(x := a["edit_distance"])](x)},'
-            f'{i}"len_gt": {s[type(x := a["len_gt"])](x)},'
-            f'{i}"len_pred": {s[type(x := a["len_pred"])](x)},'
-            f'{i}"value": {s[type(x := a["value"])](x)},'
-            f'{i}"value_exact": {s[type(x := a["value_exact"])](x)}{pad}}}')
+def _share_text(v: Fraction | None) -> str:
+    """The text of ``float(v)``: Fraction's ``__float__`` divides too."""
+    return "null" if v is None else repr(v.numerator / v.denominator)
 
 
-def _entry_text(entry: dict, pad: str, s=_SCALARS) -> str:
-    """``json_text(entry, pad)`` for an entry as ``Report.to_json_dict``
-    makes it, in fewer steps: its keys, and those of its objects, are
-    written in a known order. A missing key, or a value of another type
-    (``s`` has no key for it), sends the entry through ``json_text``,
-    which writes it or fails as it does."""
-    i, j = pad + "  ", pad + "    "
-    try:
-        rules, notes = entry["rules"], entry["diagnostics"]
-        if type(notes) is not list or (rules is not None
-                                       and type(rules) is not dict):
-            raise KeyError(entry)
-        rules = "null" if rules is None else f"{{{j}" + f",{j}".join([
-            f'"{key}": {s[type(x := rules[key])](x)}' for key in _RULE_KEYS
-        ]) + f"{i}}}"
-        notes = f"[{j}" + f",{j}".join([s[type(x)](x) for x in notes]) \
-            + f"{i}]" if notes else "[]"
-        return (
-            f'{{{i}"acc_duration": {_accuracy_text(entry["acc_duration"], i)},'
-            f'{i}"acc_pitch": {_accuracy_text(entry["acc_pitch"], i)},'
-            f'{i}"aesthetic": {s[type(x := entry["aesthetic"])](x)},'
-            f'{i}"correct": {s[type(x := entry["correct"])](x)},'
-            f'{i}"diagnostics": {notes},'
-            f'{i}"fingering": {s[type(x := entry["fingering"])](x)},'
-            f'{i}"fmt_legal": {s[type(x := entry["fmt_legal"])](x)},'
-            f'{i}"format": {s[type(x := entry["format"])](x)},'
-            f'{i}"hybrid": {s[type(x := entry["hybrid"])](x)},'
-            f'{i}"normalized": {s[type(x := entry["normalized"])](x)},'
-            f'{i}"rules": {rules},'
-            f'{i}"sample_id": {s[type(x := entry["sample_id"])](x)},'
-            f'{i}"task": {s[type(x := entry["task"])](x)},'
-            f'{i}"technical": {s[type(x := entry["technical"])](x)},'
-            f'{i}"valid": {s[type(x := entry["valid"])](x)}{pad}}}')
-    except KeyError:
-        return json_text(entry, pad)
+def _entry_text(result: TaskResult, fmt: NotationFormat, scores: dict,
+                s=_SCALARS) -> str:
+    """``json_text`` of ``result.to_json_dict()`` with the sample's
+    ``format`` and external ``scores`` added, at an entry's place in the
+    report, written field by field in the keys' order. A value that
+    ``json_text`` cannot write (``s`` has no key for its type) fails as
+    it does there."""
+    (sample_id, task, valid, correct, acc_pitch, acc_duration, fmt_legal,
+     technical, rules, hybrid, notes) = result
+    i, j = "\n      ", "\n        "
+    acc_duration, acc_pitch = ["null" if a is None else (
+        f'{{{j}"edit_distance": {s[type(x := a.edit_distance)](x)},'
+        f'{j}"len_gt": {s[type(x := a.len_gt)](x)},'
+        f'{j}"len_pred": {s[type(x := a.len_pred)](x)},'
+        f'{j}"value": {_share_text(x := a.value)},'
+        f'{j}"value_exact": "{x.numerator}/{x.denominator}"{i}}}')
+        for a in (acc_duration, acc_pitch)]
+    rules = "null" if rules is None else f"{{{j}" + f",{j}".join([
+        f'"{key}": {s[type(x := getattr(rules, key))](x)}'
+        for key in _RULE_KEYS]) + f"{i}}}"
+    notes = f"[{j}" + f",{j}".join([s[type(x)](x) for x in notes]) \
+        + f"{i}]" if notes else "[]"
+    return (
+        f'{{{i}"acc_duration": {acc_duration},'
+        f'{i}"acc_pitch": {acc_pitch},'
+        f'{i}"aesthetic": {s[type(x := scores.get("aesthetic"))](x)},'
+        f'{i}"correct": {s[type(correct)](correct)},'
+        f'{i}"diagnostics": {notes},'
+        f'{i}"fingering": {s[type(x := scores.get("fingering"))](x)},'
+        f'{i}"fmt_legal": {s[type(fmt_legal)](fmt_legal)},'
+        f'{i}"format": {_quote(fmt.value)},'
+        f'{i}"hybrid": {_share_text(hybrid)},'
+        f'{i}"normalized": {_share_text(result.normalized())},'
+        f'{i}"rules": {rules},'
+        f'{i}"sample_id": {_quote(sample_id)},'
+        f'{i}"task": {_quote(task.value)},'
+        f'{i}"technical": {s[type(technical)](technical)},'
+        f'{i}"valid": {s[type(valid)](valid)}\n    }}')
+
+
+def _json_chunks(report: Report, head: dict):
+    """``json_text`` of ``head`` with the report's entries as its
+    ``per_sample``, plus "\\n", in pieces: an entry is one."""
+    fmt_of = {record.id: record.format for record in report.records}
+    sep = "{\n  "
+    for key, value in sorted({**head, "per_sample": None}.items()):
+        yield f"{sep}{_quote(key)}: "
+        sep = ",\n  "
+        if key != "per_sample":
+            yield json_text(value, "\n  ")
+            continue
+        start = "["
+        for result in report.results:
+            yield start + "\n    " + _entry_text(
+                result, fmt_of[result.sample_id],
+                report.external.get(result.sample_id) or {})
+            start = ","
+        yield "\n  ]" if report.results else "[]"
+    yield "\n}\n"
 
 
 def write_report(report: Report, out_path: str | Path,
@@ -517,7 +506,7 @@ def write_report(report: Report, out_path: str | Path,
     """Serialize the report as canonical JSON, plus an optional CSV of the
     task-by-format table. Both go to temporary files, removed on any
     failure, before either is put in place; an OSError is a ConfigError.
-    The JSON is encoded one member, or one element of a list member, at a
+    The JSON is encoded one member, or one ``per_sample`` entry, at a
     time, through a buffered file: its whole text never exists at once."""
     if csv_path is not None and (Path(csv_path).resolve()
                                  == Path(out_path).resolve()):
@@ -526,7 +515,7 @@ def write_report(report: Report, out_path: str | Path,
         if path is not None and Path(path).is_dir():
             raise ConfigError(f"cannot write {path}: it is a directory")
     data = report.to_json_dict()
-    texts = {Path(out_path): _json_chunks(data)}
+    texts = {Path(out_path): _json_chunks(report, data)}
     if csv_path is not None:  # as the csv module writes it: no field here
         # needs quoting, and rows end in "\r\n".
         texts[Path(csv_path)] = ["task,format,count,invalid_count,mean\r\n"] + [

@@ -228,6 +228,19 @@ def test_config_file_numbers_take_ascii_only(tmp_path, monkeypatch, capsys,
     assert "malformed" in capsys.readouterr().err
 
 
+def test_score_tab_without_pitch_and_format_weights_exits_one(tmp_path,
+                                                               capsys):
+    """Tab has no duration stream, so its duration weight must go to the
+    pitch and format weights; when both are 0 there is nowhere to put it."""
+    gt = _write(tmp_path / "gt.json", json.dumps(SCALE_GT))
+    pred = _write(tmp_path / "pred.tab", SCALE_TAB)
+    assert main(["score", "--task", "ast", "--format", "tab", "--gt", gt,
+                 "--pred", pred, "--weights", "0,1,0"]) == 1
+    assert capsys.readouterr().err == (
+        "error: cannot drop duration weight when pitch and format weights "
+        "are 0\n")
+
+
 def test_usage_errors_exit_one(capsys):
     assert main([]) == 1
     assert main(["score", "--task", "tuning-fork"]) == 1

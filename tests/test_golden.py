@@ -7,8 +7,10 @@ sixteenth durations, a non-dyadic ground-truth duration, key and meter
 mismatches, illegal and unparseable predictions, and one sample that
 ``ast_length_cap`` (set by ``config.json``) excludes. Regenerate the
 expected files only for an intended change of report bytes. The other
-installed interpreters must write the same report, and the same pinned
-parser verdicts as ``tests/data/differential.json``.
+installed interpreters must write the same report, the same pinned
+parser verdicts as ``tests/data/differential.json``, and the same
+workload report digests as ``tests/data/report_digests.json``, under
+fixed hash seeds too.
 """
 
 import os
@@ -82,3 +84,21 @@ def test_other_interpreters_write_the_pinned_digests(python):
                           timeout=300)
     assert done.returncode == 0, done.stderr
     assert done.stdout == (TESTS / "data" / "differential.json").read_text()
+
+
+@pytest.mark.parametrize("python,hash_seed",
+                         zip(OTHER_PYTHONS, ["0", "1", None]))
+def test_other_interpreters_write_the_workload_digests(python, hash_seed):
+    """The report bytes of every benchmark workload must depend neither on
+    the interpreter's version nor on its hash seed. A run of ``pin``
+    takes about 2 s, so each fixed hash seed rides with an interpreter;
+    the last one, like the in-process test, runs under a random seed."""
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
+    exe = _other_python(python, env)
+    done = subprocess.run([exe, str(TESTS / "test_report_digests.py"), "pin"],
+                          env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == (TESTS / "data" / "report_digests.json").read_text()

@@ -4,9 +4,10 @@ Each workload of ``bench/workloads.py`` is built at each of
 ``PINNED_SEEDS`` and graded in-process by ``notegrade batch --csv``;
 the SHA-256 of the JSON report and of the CSV must match
 ``tests/data/report_digests.json``. A report does not depend on the
-directory it is built in, so the digests hold on any checkout. A change
-that means to alter a report rewrites that file and says which samples
-changed:
+directory it is built in, so the digests hold on any checkout;
+``tests/test_golden.py`` checks that they hold on the other installed
+interpreters and hash seeds too. A change that means to alter a report
+rewrites that file and says which samples changed:
 
     PYTHONPATH=src python3 tests/test_report_digests.py pin \\
         > tests/data/report_digests.json
@@ -21,8 +22,6 @@ import json
 import sys
 import tempfile
 from pathlib import Path
-
-import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 
@@ -46,8 +45,13 @@ def report_digests(name: str, seed: int, root: Path) -> dict[str, str]:
             "csv": hashlib.sha256(csv.read_bytes()).hexdigest()}
 
 
-@pytest.mark.parametrize("seed", PINNED_SEEDS)
-@pytest.mark.parametrize("name", WORKLOADS)
+def pytest_generate_tests(metafunc):
+    """Each workload at each pinned seed. A hook, not a mark, so that
+    ``pin`` runs where pytest is not installed."""
+    metafunc.parametrize("name", WORKLOADS)
+    metafunc.parametrize("seed", PINNED_SEEDS)
+
+
 def test_report_bytes_match_the_pinned_digests(name, seed, tmp_path):
     pinned = json.loads(PINNED.read_text(encoding="utf-8"))
     assert report_digests(name, seed, tmp_path) == pinned[name][str(seed)], (

@@ -300,9 +300,13 @@ def test_smg_jianpu_generation():
 
 
 def test_capability_weights_validation():
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         CapabilityWeights(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2),
                           Fraction(1, 2))
+    assert str(err.value) == "task weights must sum to 1, got 2"
+    with pytest.raises(ConfigError) as err:
+        CapabilityWeights(Fraction(-1), 1, 1, 0)
+    assert str(err.value) == "task weights must be >= 0"
     with pytest.raises(ConfigError):
         CapabilityWeights.parse("0.25,0.25,0.25")
     parsed = CapabilityWeights.parse("0.4, 0.3, 0.2, 0.1")
@@ -322,6 +326,13 @@ def test_capability_weights_take_ascii_numbers_only(text):
 def test_capability_weights_must_be_exact_numbers(weights):
     with pytest.raises(ConfigError, match="task weight must be an int or a"):
         CapabilityWeights(*weights)
+
+
+def test_task_parse_names_an_unknown_task():
+    assert Task.parse("smg") is Task.SMG
+    with pytest.raises(ConfigError) as err:
+        Task.parse("x")
+    assert str(err.value) == "unknown task 'x'"
 
 
 def test_aggregate_capability():
